@@ -42,28 +42,44 @@ let parse_string ?file text =
              | _ -> fail_at (loc header_line) "bad header %S" header)
         | _ -> fail_at (loc header_line) "not an aag file"
       in
+      if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then
+        fail_at (loc header_line) "negative count in header %S" header;
       if l <> 0 then fail_at (loc header_line) "latches not supported";
       let body = Array.of_list rest in
-      if Array.length body < i + o + a then fail_at floc "truncated file";
+      let n = Array.length body in
+      (* Bound each count before summing, so the sums cannot overflow. *)
+      if i > n || o > n || a > n || i + o + a > n then
+        fail_at floc "truncated file";
+      if m < i + a then
+        fail_at (loc header_line) "header M = %d is below I + L + A = %d" m
+          (i + a);
       let aig = Aig.create ~name:"aiger" () in
-      (* aag literal -> our literal. Variable v of the file maps to our
-         node map.(v). *)
-      (* map.(v) is our literal for the file's variable v viewed
-         uncomplemented; constant folding may complement it. *)
-      let map = Array.make (m + 1) (-1) in
-      map.(0) <- Aig.false_;
+      (* map: the file's variable v -> our literal for v viewed
+         uncomplemented (constant folding may complement it). A table, not
+         an array of M + 1 slots: M comes from the file and may be huge. *)
+      let map = Hashtbl.create (min m (i + a) + 1) in
+      Hashtbl.replace map 0 Aig.false_;
       let our_lit at file_lit =
-        let v = file_lit / 2 in
-        if v > m || map.(v) < 0 then fail_at at "undefined literal %d" file_lit;
-        if file_lit land 1 = 1 then Aig.not_ map.(v) else map.(v)
+        match Hashtbl.find_opt map (file_lit / 2) with
+        | Some lit when file_lit >= 0 && file_lit / 2 <= m ->
+            if file_lit land 1 = 1 then Aig.not_ lit else lit
+        | _ -> fail_at at "undefined literal %d" file_lit
+      in
+      (* A literal an input or AND defines: even, not the constant, within
+         2M + 1, and not defined before. *)
+      let define at what file_lit node =
+        if file_lit land 1 = 1 then fail_at at "complemented %s" what;
+        if file_lit < 2 || file_lit / 2 > m then
+          fail_at at "%s literal %d outside 2..2M = %d" what file_lit (2 * m);
+        if Hashtbl.mem map (file_lit / 2) then
+          fail_at at "%s literal %d defined twice" what file_lit;
+        Hashtbl.replace map (file_lit / 2) (node ())
       in
       for k = 0 to i - 1 do
         let line_no, content = body.(k) in
         let at = loc line_no in
         match ints at content with
-        | [ lit ] ->
-            if lit land 1 = 1 then fail_at at "complemented input";
-            map.(lit / 2) <- Aig.add_pi aig
+        | [ lit ] -> define at "input" lit (fun () -> Aig.add_pi aig)
         | _ -> fail_at at "bad input line"
       done;
       let po_lits =
@@ -79,8 +95,8 @@ let parse_string ?file text =
         let at = loc line_no in
         match ints at content with
         | [ lhs; rhs0; rhs1 ] ->
-            if lhs land 1 = 1 then fail_at at "complemented AND lhs";
-            map.(lhs / 2) <- Aig.and_ aig (our_lit at rhs0) (our_lit at rhs1)
+            define at "AND lhs" lhs (fun () ->
+                Aig.and_ aig (our_lit at rhs0) (our_lit at rhs1))
         | _ -> fail_at at "bad and line"
       done;
       Array.iter (fun (at, lit) -> Aig.add_po aig (our_lit at lit)) po_lits;

@@ -33,12 +33,12 @@ let rollback t mark =
 
 let num_assigned t = Vec.length t.trail
 
-let latest_in ?(since = 0) t ~mask p =
+let latest_in ?(since = 0) t p =
   let rec go i =
     if i < since then None
     else
       let id = Vec.get t.trail i in
-      if mask.(id) && p id then Some id else go (i - 1)
+      if p id then Some id else go (i - 1)
   in
   go (Vec.length t.trail - 1)
 

@@ -10,10 +10,6 @@ val to_bool : t -> bool option
 val is_assigned : t -> bool
 val equal : t -> t -> bool
 
-val compatible : t -> Simgen_network.Cube.lit -> bool
-(** Whether a value is consistent with a cube literal: an [Unknown] value is
-    compatible with everything, and a cube [DC] accepts everything. *)
-
 val to_char : t -> char
 (** ['0'], ['1'] or ['-']. *)
 

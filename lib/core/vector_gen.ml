@@ -1,5 +1,4 @@
 module N = Simgen_network.Network
-module Cone = Simgen_network.Cone
 module Level = Simgen_network.Level
 module Rng = Simgen_base.Rng
 
@@ -24,18 +23,21 @@ let process_target engine decision target gold =
       (* Pinned by a previous target's propagation. *)
       if existing = gold then `Satisfied else `Conflict
   | None ->
-      let cone = Cone.fanin_cone net target in
-      let mask = Cone.member_mask net cone in
+      Engine.mark_cone engine target;
       (* Candidates on which a decision already made no progress carry a
          justifying cube whose non-DC inputs are all assigned; they are
          skipped, which also makes the loop terminate. *)
       let exhausted = Hashtbl.create 8 in
+      let rec has_open fanins i =
+        i < Array.length fanins
+        && ((not (Assignment.is_assigned assignment fanins.(i)))
+           || has_open fanins (i + 1))
+      in
       let is_candidate id =
-        (not (N.is_pi net id))
+        Engine.in_cone engine id
+        && (not (N.is_pi net id))
         && (not (Hashtbl.mem exhausted id))
-        && Array.exists
-             (fun fi -> not (Assignment.is_assigned assignment fi))
-             (N.fanins net id)
+        && has_open (N.fanins net id) 0
       in
       Engine.set engine target gold;
       let rec loop () =
@@ -52,7 +54,7 @@ let process_target engine decision target gold =
               (* Nodes assigned before this target's checkpoint were
                  justified by earlier, already-successful targets; only
                  values added for this goal can need justification. *)
-              Assignment.latest_in ~since:init assignment ~mask is_candidate
+              Assignment.latest_in ~since:init assignment is_candidate
             with
             | None -> `Satisfied
             | Some candidate -> (
@@ -68,6 +70,10 @@ let process_target engine decision target gold =
       in
       loop ()
 
+(* Line 2 of Algorithm 1: decreasing network depth, then decreasing id. *)
+let deeper_first levels (a, _) (b, _) =
+  match Int.compare levels.(b) levels.(a) with 0 -> Int.compare b a | c -> c
+
 let generate_with engine decision ~rng ~levels outgold =
   let net = Engine.network engine in
   let assignment = Engine.assignment engine in
@@ -77,17 +83,8 @@ let generate_with engine decision ~rng ~levels outgold =
      wide enough for cross-target implications (the values of one target
      constraining its class siblings), narrow enough to keep the paper's
      small runtime overhead over reverse simulation. *)
-  let class_scope =
-    Cone.member_mask net
-      (Cone.fanin_cone_many net (List.map fst outgold))
-  in
-  Engine.set_scope engine (Some class_scope);
-  (* Line 2 of Algorithm 1: order targets by decreasing network depth. *)
-  let ordered =
-    List.sort
-      (fun (a, _) (b, _) -> compare (levels.(b), b) (levels.(a), a))
-      outgold
-  in
+  Engine.set_scope engine (List.map fst outgold);
+  let ordered = List.sort (deeper_first levels) outgold in
   let satisfied = ref [] in
   let conflicts = ref 0 in
   List.iter
@@ -98,9 +95,8 @@ let generate_with engine decision ~rng ~levels outgold =
     ordered;
   (* Complete the vector: every still-open PI takes a random value. *)
   let vector = Array.make (N.num_pis net) false in
-  Array.iter
-    (fun pi ->
-      let idx = match N.kind net pi with N.Pi i -> i | N.Gate _ -> assert false in
+  Array.iteri
+    (fun idx pi ->
       vector.(idx) <-
         (match Value.to_bool (Assignment.value assignment pi) with
          | Some b -> b
@@ -111,7 +107,7 @@ let generate_with engine decision ~rng ~levels outgold =
     List.exists (fun (_, g) -> g) satisfied
     && List.exists (fun (_, g) -> not g) satisfied
   in
-  Engine.set_scope engine None;
+  Engine.clear_scope engine;
   Engine.rollback engine 0;
   {
     vector;

@@ -1,13 +1,16 @@
-let compute net root =
+(* A PO tap is an external use: a path from the node to a PO that does not
+   pass through the root, even when every gate fanout stays inside the
+   cone. *)
+let po_mask net =
+  let tapped = Array.make (Network.num_nodes net) false in
+  Array.iter (fun po -> tapped.(po) <- true) (Network.pos net);
+  tapped
+
+let compute_tapped net po_tapped root =
   if Network.is_pi net root then []
   else begin
     let in_mffc = Hashtbl.create 16 in
     Hashtbl.replace in_mffc root ();
-    (* A PO tap is an external use: a path from the node to a PO that does
-       not pass through the root, even when every gate fanout stays inside
-       the cone. *)
-    let po_tapped = Hashtbl.create 8 in
-    Array.iter (fun po -> Hashtbl.replace po_tapped po ()) (Network.pos net);
     (* Fanin cone in fanins-first order; visiting it in reverse puts every
        node after all of its fanouts that lie in the cone, so the
        "all fanouts already in the MFFC" test is well-defined. *)
@@ -16,7 +19,7 @@ let compute net root =
     List.iter
       (fun id ->
         if id <> root && not (Network.is_pi net id)
-           && not (Hashtbl.mem po_tapped id)
+           && not po_tapped.(id)
         then
           let fos = Network.fanouts net id in
           if fos <> [] && List.for_all (Hashtbl.mem in_mffc) fos then
@@ -24,6 +27,8 @@ let compute net root =
       rev;
     List.filter (Hashtbl.mem in_mffc) cone
   end
+
+let compute net root = compute_tapped net (po_mask net) root
 
 let leaves net members =
   let mask = Hashtbl.create 16 in
@@ -34,8 +39,8 @@ let leaves net members =
         (Array.exists (Hashtbl.mem mask) (Network.fanins net id)))
     members
 
-let depth net levels root =
-  match compute net root with
+let depth_tapped net levels po_tapped root =
+  match compute_tapped net po_tapped root with
   | [] -> 0.0
   | members ->
       let lvs = leaves net members in
@@ -47,18 +52,28 @@ let depth net levels root =
       in
       float_of_int total /. float_of_int (List.length lvs)
 
+let depth net levels root = depth_tapped net levels (po_mask net) root
+
 type cache = {
   net : Network.t;
   levels : int array;
-  depths : (Network.node_id, float) Hashtbl.t;
+  po_tapped : bool array;  (* built once, not per depth query *)
+  depths : float array;  (* nan = not computed yet *)
 }
 
-let cache net = { net; levels = Level.compute net; depths = Hashtbl.create 256 }
+let cache net =
+  {
+    net;
+    levels = Level.compute net;
+    po_tapped = po_mask net;
+    depths = Array.make (Network.num_nodes net) Float.nan;
+  }
 
 let cached_depth c id =
-  match Hashtbl.find_opt c.depths id with
-  | Some d -> d
-  | None ->
-      let d = depth c.net c.levels id in
-      Hashtbl.replace c.depths id d;
-      d
+  let d = c.depths.(id) in
+  if Float.is_nan d then begin
+    let d = depth_tapped c.net c.levels c.po_tapped id in
+    c.depths.(id) <- d;
+    d
+  end
+  else d

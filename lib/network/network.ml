@@ -13,6 +13,8 @@ type t = {
   mutable po_list : (node_id * string option) list;  (* reversed *)
   mutable fanout_cache : node_id list array option;
   mutable level_cache : int array option;
+  mutable pis_cache : node_id array option;
+  mutable pos_cache : node_id array option;
 }
 
 let dummy_node = { kind = Pi (-1); fanins = [||]; name = None }
@@ -25,6 +27,8 @@ let create ?(name = "network") () =
     po_list = [];
     fanout_cache = None;
     level_cache = None;
+    pis_cache = None;
+    pos_cache = None;
   }
 
 let name t = t.net_name
@@ -32,11 +36,13 @@ let set_name t s = t.net_name <- s
 
 let num_nodes t = Vec.length t.nodes
 
-(* Every mutator funnels through here: both derived-data caches go stale
+(* Every mutator funnels through here: the derived-data caches go stale
    together, so a stale cache can only be observed through [Unsafe]. *)
 let invalidate t =
   t.fanout_cache <- None;
-  t.level_cache <- None
+  t.level_cache <- None;
+  t.pis_cache <- None;
+  t.pos_cache <- None
 
 let add_pi ?name t =
   let id = num_nodes t in
@@ -62,7 +68,8 @@ let add_const t b = add_gate t (Truth_table.create_const 0 b) [||]
 
 let add_po ?name t id =
   if id < 0 || id >= num_nodes t then invalid_arg "Network.add_po";
-  t.po_list <- (id, name) :: t.po_list
+  t.po_list <- (id, name) :: t.po_list;
+  t.pos_cache <- None
 
 let num_pis t = List.length t.pi_ids
 let num_pos t = List.length t.po_list
@@ -82,8 +89,21 @@ let func t id =
 
 let is_pi t id = match (node t id).kind with Pi _ -> true | Gate _ -> false
 
-let pis t = Array.of_list (List.rev t.pi_ids)
-let pos t = Array.of_list (List.rev_map fst t.po_list)
+let pis t =
+  match t.pis_cache with
+  | Some a -> a
+  | None ->
+      let a = Array.of_list (List.rev t.pi_ids) in
+      t.pis_cache <- Some a;
+      a
+
+let pos t =
+  match t.pos_cache with
+  | Some a -> a
+  | None ->
+      let a = Array.of_list (List.rev_map fst t.po_list) in
+      t.pos_cache <- Some a;
+      a
 
 let po_name t i =
   let arr = Array.of_list (List.rev t.po_list) in

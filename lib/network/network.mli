@@ -43,7 +43,13 @@ val func : t -> node_id -> Truth_table.t
 
 val is_pi : t -> node_id -> bool
 val pis : t -> node_id array
+(** Primary inputs in index order ([(pis t).(i)] has kind [Pi i]). *)
+
 val pos : t -> node_id array
+(** Primary-output drivers in PO order. [pis] and [pos] are O(1): the
+    arrays are cached until the next mutation and shared between callers,
+    so they must not be mutated. *)
+
 val po_name : t -> int -> string option
 val node_name : t -> node_id -> string option
 

@@ -273,14 +273,17 @@ let note_failure t cls =
    simulation rounds of ABC-style sweeping. *)
 let batch_lanes = 64
 
+(* Classes by decreasing size, ties in their original order (a stable
+   sort), each length computed once. *)
+let largest_first classes =
+  List.map (fun c -> (List.length c, c)) classes
+  |> List.stable_sort (fun (la, _) (lb, _) -> Int.compare lb la)
+  |> List.map snd
+
 let guided_round_config t config =
   let engine, decision = engine_for t config in
   let t0 = Timer.now () in
-  let ordered =
-    List.sort
-      (fun a b -> compare (List.length b) (List.length a))
-      (Eq.classes t.eq)
-  in
+  let ordered = largest_first (Eq.classes t.eq) in
   let skipped = ref 0 in
   let conflicts = ref 0 and implications = ref 0 and decisions_n = ref 0 in
   let vectors = ref [] in
@@ -368,11 +371,7 @@ let run_rounds ~should_stop ~iterations round =
    vectors come from SAT models over the class cones. *)
 let sat_guided_round t =
   let t0 = Timer.now () in
-  let ordered =
-    List.sort
-      (fun a b -> compare (List.length b) (List.length a))
-      (Eq.classes t.eq)
-  in
+  let ordered = largest_first (Eq.classes t.eq) in
   let skipped = ref 0 and calls = ref 0 in
   let vectors = ref [] and nvec = ref 0 in
   let rec fill = function

@@ -172,6 +172,38 @@ let test_aiger_errors () =
   Alcotest.(check bool) "latches" true (bad "aag 1 0 1 0 0\n2 3\n");
   Alcotest.(check bool) "truncated" true (bad "aag 3 2 0 1 1\n2\n4\n")
 
+(* Malformed headers and out-of-range literals are located parse errors,
+   never an [Invalid_argument] escaping from array indexing. *)
+let test_aiger_bad_ranges () =
+  let cases =
+    [
+      ("negative M", "aag -1 0 0 0 0\n", 1);
+      ("negative I", "aag 1 -1 0 0 0\n", 1);
+      ("M below I+L+A", "aag 0 1 0 0 0\n2\n", 1);
+      ("huge counts", "aag 1 4611686018427387903 0 4611686018427387903 2\n", -1);
+      ("input above 2M", "aag 1 1 0 0 0\n6\n", 2);
+      ("negative input", "aag 1 1 0 0 0\n-2\n", 2);
+      ("input is constant", "aag 1 1 0 0 0\n0\n", 2);
+      ("input defined twice", "aag 2 2 0 0 0\n2\n2\n", 3);
+      ("AND lhs above 2M", "aag 2 1 0 1 1\n2\n2\n8 2 2\n", 4);
+      ("negative output", "aag 1 1 0 1 0\n2\n-3\n", 3);
+      ("rhs above 2M", "aag 2 1 0 1 1\n2\n4\n4 2 9\n", 4);
+    ]
+  in
+  List.iter
+    (fun (what, text, line) ->
+      match Aiger.parse_string ~file:"bad.aag" text with
+      | exception Aiger.Parse_error (loc, _) ->
+          if line > 0 then
+            Alcotest.(check (option int)) (what ^ ": line") (Some line)
+              loc.Simgen_base.Srcloc.line
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" what)
+    cases;
+  (* A sparse variable range is legal: a huge M allocates nothing. *)
+  let aig = Aiger.parse_string "aag 4611686018427387903 0 0 1 0\n0\n" in
+  Alcotest.(check int) "huge M, constant output" 1 (Aig.num_pos aig)
+
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -254,6 +286,7 @@ let () =
           Alcotest.test_case "handwritten" `Quick test_aiger_handwritten;
           Alcotest.test_case "constants" `Quick test_aiger_constant_output;
           Alcotest.test_case "errors" `Quick test_aiger_errors;
+          Alcotest.test_case "bad ranges" `Quick test_aiger_bad_ranges;
         ] );
       ( "convert",
         [

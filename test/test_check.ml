@@ -251,6 +251,26 @@ let test_parse_error_located () =
    | _ -> Alcotest.fail "expected a single located P001");
   Sys.remove path
 
+(* The three AIGER range defects (negative header count, input literal
+   above 2M, AND lhs above 2M) lint as one located P001, which the CLI maps
+   to exit 2. *)
+let test_aiger_range_errors () =
+  List.iter
+    (fun (text, line) ->
+      let path = write_temp ".aag" text in
+      let diags = Check.Lint.file path in
+      check_code "aiger range" "P001" diags;
+      (match diags with
+       | [ { D.loc = D.Src { Simgen_base.Srcloc.line = Some n; _ }; _ } ] ->
+           Alcotest.(check int) "line recorded" line n
+       | _ -> Alcotest.fail "expected a single located P001");
+      Sys.remove path)
+    [
+      ("aag -1 0 0 0 0\n", 1);
+      ("aag 1 1 0 0 0\n6\n", 2);
+      ("aag 2 1 0 1 1\n2\n2\n8 2 2\n", 4);
+    ]
+
 let test_unknown_extension () =
   let path = write_temp ".xyz" "nonsense" in
   check_code "unknown kind" "P002" (Check.Lint.file path);
@@ -895,6 +915,7 @@ let () =
       ( "files",
         [
           Alcotest.test_case "P001 located" `Quick test_parse_error_located;
+          Alcotest.test_case "P001 aiger ranges" `Quick test_aiger_range_errors;
           Alcotest.test_case "P002 unknown" `Quick test_unknown_extension;
           Alcotest.test_case "dispatch clean" `Quick test_file_dispatch_clean;
         ] );

@@ -49,12 +49,27 @@ let test_value_basics () =
   Alcotest.(check bool) "assigned" true (Value.is_assigned Value.One);
   Alcotest.(check bool) "unassigned" false (Value.is_assigned Value.Unknown)
 
+(* A packed one-input row against a fanin value: unassigned is compatible
+   with everything, and a DC accepts everything. *)
 let test_value_compatibility () =
-  Alcotest.(check bool) "unknown/T" true (Value.compatible Value.Unknown Cube.T);
-  Alcotest.(check bool) "one/DC" true (Value.compatible Value.One Cube.DC);
-  Alcotest.(check bool) "one/T" true (Value.compatible Value.One Cube.T);
-  Alcotest.(check bool) "one/F" false (Value.compatible Value.One Cube.F);
-  Alcotest.(check bool) "zero/T" false (Value.compatible Value.Zero Cube.T)
+  let compatible v l =
+    let assigned, values =
+      match v with
+      | Value.Unknown -> (0, 0)
+      | Value.Zero -> (1, 0)
+      | Value.One -> (1, 1)
+    in
+    Rows.matches (Rows.of_cube (Cube.make [| l |] true)) ~assigned ~values (-1)
+  in
+  Alcotest.(check bool) "unknown/T" true (compatible Value.Unknown Cube.T);
+  Alcotest.(check bool) "one/DC" true (compatible Value.One Cube.DC);
+  Alcotest.(check bool) "one/T" true (compatible Value.One Cube.T);
+  Alcotest.(check bool) "one/F" false (compatible Value.One Cube.F);
+  Alcotest.(check bool) "zero/T" false (compatible Value.Zero Cube.T);
+  let row = Rows.of_cube (Cube.make [||] false) in
+  Alcotest.(check bool) "out agrees" true (Rows.matches row ~assigned:0 ~values:0 0);
+  Alcotest.(check bool) "out disagrees" false
+    (Rows.matches row ~assigned:0 ~values:0 1)
 
 (* ------------------------------------------------------------------ *)
 (* Assignment                                                          *)
@@ -90,11 +105,13 @@ let test_assignment_latest_in () =
   Assignment.assign a 9 true;
   Assignment.assign a 5 false;
   Alcotest.(check (option int)) "latest in mask" (Some 5)
-    (Assignment.latest_in a ~mask (fun _ -> true));
+    (Assignment.latest_in a (fun id -> mask.(id)));
   Alcotest.(check (option int)) "filtered" (Some 2)
-    (Assignment.latest_in a ~mask (fun id -> id <> 5));
+    (Assignment.latest_in a (fun id -> mask.(id) && id <> 5));
   Alcotest.(check (option int)) "none" None
-    (Assignment.latest_in a ~mask (fun _ -> false))
+    (Assignment.latest_in a (fun _ -> false));
+  Alcotest.(check (option int)) "since bounds the scan" None
+    (Assignment.latest_in ~since:1 a (fun id -> id = 2))
 
 let test_assignment_iter_since () =
   let a = Assignment.create 10 in
@@ -122,8 +139,8 @@ let test_rows_onset_first () =
   let rows = Rows.get cache tt_nand2 in
   let rec onset_prefix seen_off = function
     | [] -> true
-    | (c : Cube.t) :: rest ->
-        if c.Cube.out then (not seen_off) && onset_prefix seen_off rest
+    | r :: rest ->
+        if Rows.out r then (not seen_off) && onset_prefix seen_off rest
         else onset_prefix true rest
   in
   Alcotest.(check bool) "onset cubes precede offset" true
@@ -352,10 +369,8 @@ let test_scope_confines_propagation () =
   N.add_po net left;
   N.add_po net right2;
   let engine = Engine.create ~config:Config.default net in
-  let mask = Array.make (N.num_nodes net) false in
-  mask.(a) <- true;
-  mask.(left) <- true;
-  Engine.set_scope engine (Some mask);
+  (* The scope is the fanin cone of [left]: {a, left}. *)
+  Engine.set_scope engine [ left ];
   Engine.set engine a true;
   (match Engine.propagate engine with
    | Engine.Fixpoint -> ()
@@ -366,7 +381,7 @@ let test_scope_confines_propagation () =
   Alcotest.(check bool) "out-of-scope gate untouched" true
     (Assignment.value asg right = Value.Unknown);
   (* Lifting the scope and re-seeding resumes propagation everywhere. *)
-  Engine.set_scope engine None;
+  Engine.clear_scope engine;
   Engine.set engine right false;
   ignore (Engine.propagate engine);
   Alcotest.(check bool) "propagates after unscoping" true
@@ -429,6 +444,156 @@ let prop_engine_forward_soundness =
              !ok))
 
 (* ------------------------------------------------------------------ *)
+(* Packed rows against the cube-level definitions                     *)
+(* ------------------------------------------------------------------ *)
+
+module Isop = Simgen_network.Isop
+
+(* Cube-level compatibility of a ternary value with a literal. *)
+let lit_compatible v (l : Cube.lit) =
+  match (v, l) with
+  | Value.Unknown, _ | _, Cube.DC -> true
+  | Value.One, Cube.T | Value.Zero, Cube.F -> true
+  | Value.One, Cube.F | Value.Zero, Cube.T -> false
+
+(* Whether a cube row of gate [g] agrees with the values [vals]. *)
+let cube_matches vals fanins g (c : Cube.t) =
+  lit_compatible vals.(g) (if c.Cube.out then Cube.T else Cube.F)
+  && Array.for_all2 (fun fi l -> lit_compatible vals.(fi) l) fanins c.Cube.lits
+
+(* One examination of gate [g] at the cube level: Def. 2.2 when a single
+   row matches, Def. 4.1 over several rows under [Advanced]. Returns
+   [None] on conflict, else the number of values assigned. *)
+let cube_examine (cfg : Config.t) cubes fanins g vals =
+  if cfg.Config.direction = Config.Backward_only && vals.(g) = Value.Unknown
+  then Some 0
+  else
+    match List.filter (cube_matches vals fanins g) cubes with
+    | [] -> None
+    | first :: rest
+      when rest = [] || cfg.Config.implication = Config.Advanced ->
+        let n = ref 0 in
+        let assign id b =
+          vals.(id) <- Value.of_bool b;
+          incr n
+        in
+        if vals.(g) = Value.Unknown
+           && List.for_all (fun (c : Cube.t) -> c.Cube.out = first.Cube.out) rest
+        then assign g first.Cube.out;
+        Array.iteri
+          (fun i fi ->
+            let l = first.Cube.lits.(i) in
+            if vals.(fi) = Value.Unknown && l <> Cube.DC
+               && List.for_all (fun (c : Cube.t) -> c.Cube.lits.(i) = l) rest
+            then assign fi (l = Cube.T))
+          fanins;
+        Some !n
+    | _ -> Some 0
+
+(* A function of [n] inputs: a random truth table for [n <= 6]; for wider
+   ones, a sum of a few random sparse cubes (a random 16-input table has
+   tens of thousands of ISOP rows). *)
+let random_function rng n =
+  if n <= 6 then TT.random rng n
+  else
+    let cube () =
+      let c = ref (TT.create_const n true) in
+      for i = 0 to n - 1 do
+        match Rng.int rng 4 with
+        | 0 -> c := TT.and_ !c (TT.var i n)
+        | 1 -> c := TT.and_ !c (TT.not_ (TT.var i n))
+        | _ -> ()
+      done;
+      !c
+    in
+    let f = ref (TT.create_const n false) in
+    for _ = 1 to 1 + Rng.int rng 3 do
+      f := TT.or_ !f (cube ())
+    done;
+    !f
+
+let prop_packed_rows_match_cubes =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"packed matching and implication equal Def. 2.2 / 4.1" ~count:400
+       ~print:QCheck2.Print.(pair int int)
+       QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 3))
+       (fun (seed, cfg_idx) ->
+         let rng = Rng.create seed in
+         let nvars =
+           if Rng.int rng 10 = 0 then 7 + Rng.int rng 10 else Rng.int rng 7
+         in
+         let f = random_function rng nvars in
+         (* Fanins are drawn with replacement from at most [nvars] PIs, so
+            duplicate fanins are common. *)
+         let npis = 1 + Rng.int rng (max 1 nvars) in
+         let net = N.create () in
+         let pis = Array.init npis (fun _ -> N.add_pi net) in
+         let fanins = Array.init nvars (fun _ -> Rng.choose rng pis) in
+         let g = N.add_gate net f fanins in
+         N.add_po net g;
+         let cfg =
+           {
+             Config.default with
+             Config.implication =
+               (if cfg_idx land 1 = 0 then Config.Simple else Config.Advanced);
+             direction =
+               (if cfg_idx land 2 = 0 then Config.Bidirectional
+                else Config.Backward_only);
+           }
+         in
+         let engine = Engine.create ~config:cfg net in
+         let vals = Array.make (N.num_nodes net) Value.Unknown in
+         Array.iter
+           (fun id ->
+             if Rng.int rng 3 > 0 then begin
+               let b = Rng.bool rng in
+               vals.(id) <- Value.of_bool b;
+               Engine.set engine id b
+             end)
+           (Array.append pis [| g |]);
+         (* Matching: the same rows, in array order. *)
+         let cubes = Isop.rows f in
+         let rows = Engine.rows_of engine g in
+         let buf = Array.make (Array.length rows) 0 in
+         let n = Engine.matching engine g buf in
+         let expected =
+           List.concat
+             (List.mapi
+                (fun r c -> if cube_matches vals fanins g c then [ r ] else [])
+                cubes)
+         in
+         let packed_ok =
+           Array.to_list rows = List.map Rows.of_cube cubes
+           && Array.to_list (Array.sub buf 0 n) = expected
+         in
+         (* Implication: examine the gate to a fixpoint both ways. The
+            engine examines it only once a value around it was set. *)
+         let rec fixpoint total =
+           match cube_examine cfg cubes fanins g vals with
+           | None -> None
+           | Some 0 -> Some total
+           | Some k -> fixpoint (total + k)
+         in
+         let touched =
+           Array.exists (fun id -> vals.(id) <> Value.Unknown)
+             (Array.append fanins [| g |])
+         in
+         let expected_outcome = if touched then fixpoint 0 else Some 0 in
+         let outcome = Engine.propagate engine in
+         let asg = Engine.assignment engine in
+         packed_ok
+         &&
+         match (outcome, expected_outcome) with
+         | Engine.Conflict_at c, None -> c = g
+         | Engine.Fixpoint, Some k ->
+             Engine.num_implications engine = k
+             && Array.for_all
+                  (fun id -> Assignment.value asg id = vals.(id))
+                  (Array.init (N.num_nodes net) Fun.id)
+         | _ -> false))
+
+(* ------------------------------------------------------------------ *)
 (* Decision: Figure 4 heuristics                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -448,11 +613,13 @@ let test_dc_ranking_prefers_dcs () =
   let decision = Decision.create ~rng:(Rng.create 1) engine in
   Engine.set engine x false;
   ignore (Engine.propagate engine);
-  let rows = Engine.matching_rows engine x in
-  Alcotest.(check int) "two matching rows" 2 (List.length rows);
-  List.iter
-    (fun r -> Alcotest.(check int) "each off row has one DC" 1 (Cube.dc_size r))
-    rows;
+  let buf = Array.make (Array.length (Engine.rows_of engine x)) 0 in
+  let n = Engine.matching engine x buf in
+  Alcotest.(check int) "two matching rows" 2 n;
+  for j = 0 to n - 1 do
+    let r = (Engine.rows_of engine x).(buf.(j)) in
+    Alcotest.(check int) "each off row has one DC" 1 (Rows.dc_size ~nvars:2 r)
+  done;
   ignore decision
 
 let test_mffc_rank_figure4c () =
@@ -476,15 +643,17 @@ let test_mffc_rank_figure4c () =
   let decision = Decision.create ~rng:(Rng.create 1) engine in
   (* Rows of AND with out=0: "0-" (non-DC on x, depth 0) and "-0" (non-DC
      on y, depth 2). *)
-  let row_x0 = Cube.make [| Cube.F; Cube.DC |] false in
-  let row_y0 = Cube.make [| Cube.DC; Cube.F |] false in
+  let row_x0 = Rows.of_cube (Cube.make [| Cube.F; Cube.DC |] false) in
+  let row_y0 = Rows.of_cube (Cube.make [| Cube.DC; Cube.F |] false) in
   let rank_x = Decision.mffc_rank decision z row_x0 in
   let rank_y = Decision.mffc_rank decision z row_y0 in
   Alcotest.(check (float 0.001)) "left rank 0" 0.0 rank_x;
   Alcotest.(check bool) "right rank higher" true (rank_y > rank_x);
   (* Equation 4 ordering with equal DC counts follows the MFFC rank. *)
-  let p_x = Decision.row_priority decision z ~max_rank:rank_y row_x0 in
-  let p_y = Decision.row_priority decision z ~max_rank:rank_y row_y0 in
+  let priority rank row =
+    Decision.row_priority decision ~nvars:2 ~max_rank:rank_y ~rank row
+  in
+  let p_x = priority rank_x row_x0 and p_y = priority rank_y row_y0 in
   Alcotest.(check bool) "priority prefers deep MFFC" true (p_y > p_x)
 
 let test_decision_assigns_matching_row () =
@@ -499,17 +668,16 @@ let test_decision_assigns_matching_row () =
       match Engine.propagate engine with
       | Engine.Conflict_at _ -> ()
       | Engine.Fixpoint -> (
-          match Engine.matching_rows engine target with
-          | [] -> Alcotest.fail "fixpoint with no matching rows"
-          | _ :: _ -> (
-              match Decision.decide decision target with
-              | Error _ -> Alcotest.fail "decision on matching rows failed"
-              | Ok () -> (
-                  (* After the decision the target must still have matching
-                     rows (the chosen row itself). *)
-                  match Engine.matching_rows engine target with
-                  | [] -> Alcotest.fail "decision created a dead end"
-                  | _ -> ())))
+          let buf = Array.make (Array.length (Engine.rows_of engine target)) 0 in
+          if Engine.matching engine target buf = 0 then
+            Alcotest.fail "fixpoint with no matching rows";
+          match Decision.decide decision target with
+          | Error _ -> Alcotest.fail "decision on matching rows failed"
+          | Ok () ->
+              (* After the decision the target must still have matching
+                 rows (the chosen row itself). *)
+              if Engine.matching engine target buf = 0 then
+                Alcotest.fail "decision created a dead end")
     end
   done
 
@@ -670,6 +838,105 @@ let test_strategy_parsing () =
     (Option.map Strategy.name (Strategy.of_string "simgen"));
   Alcotest.(check bool) "unknown rejected" true (Strategy.of_string "zzz" = None)
 
+
+(* ------------------------------------------------------------------ *)
+(* Golden: Vector_gen reports over one guided round of every suite     *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per (suite, seed, strategy): the classes of a sweeper after
+   its random round, largest first as a guided round visits them, each
+   handed to [Vector_gen.generate_with] until a 64-lane batch of useful
+   vectors is full. The digest covers every report field, so any change
+   to the vectors, satisfied targets, conflicts, implication or decision
+   counts of the generator shows up as a changed line. *)
+module Suite = Simgen_benchgen.Suite
+module Sweeper = Simgen_sweep.Sweeper
+module Sweep_options = Simgen_sweep.Sweep_options
+module Eq = Simgen_sim.Eq_classes
+
+let golden_seeds = [ 7; 101; 102 ]
+
+let golden_lines name =
+  let net = Suite.lut_network name in
+  let levels = Level.compute net in
+  List.concat_map
+    (fun seed ->
+      let sw = Sweeper.create { Sweep_options.default with seed } net in
+      Sweeper.random_round sw;
+      let classes =
+        List.stable_sort
+          (fun a b -> compare (List.length b) (List.length a))
+          (Eq.classes (Sweeper.classes sw))
+      in
+      List.map
+        (fun strategy ->
+          let rng = Rng.create seed in
+          let engine = Engine.create ~config:(Strategy.config strategy) net in
+          let decision = Decision.create ~rng:(Rng.split rng) engine in
+          let buf = Buffer.create 4096 in
+          let visited = ref 0 and useful = ref 0 in
+          let impl = ref 0 and dec = ref 0 in
+          List.iter
+            (fun cls ->
+              if !useful < 64 then begin
+                let r =
+                  VG.generate_with engine decision ~rng ~levels
+                    (Outgold.assign cls)
+                in
+                incr visited;
+                if r.VG.useful then incr useful;
+                impl := !impl + r.VG.implications;
+                dec := !dec + r.VG.decisions;
+                Array.iter
+                  (fun b -> Buffer.add_char buf (if b then '1' else '0'))
+                  r.VG.vector;
+                List.iter
+                  (fun (id, g) -> Printf.bprintf buf " %d:%b" id g)
+                  r.VG.satisfied;
+                Printf.bprintf buf "|%d %d %d %b\n" r.VG.conflicts
+                  r.VG.implications r.VG.decisions r.VG.useful
+              end)
+            classes;
+          Printf.sprintf "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%s" name seed
+            (Strategy.name strategy) !visited !useful !impl !dec
+            (Digest.to_hex (Digest.string (Buffer.contents buf))))
+        Strategy.all)
+    golden_seeds
+
+let golden_file =
+  if Sys.file_exists "golden/vector_gen_reports.tsv" then
+    "golden/vector_gen_reports.tsv"
+  else "test/golden/vector_gen_reports.tsv"
+
+let test_vector_gen_golden () =
+  let actual = List.concat_map golden_lines Suite.names in
+  let expected =
+    if Sys.file_exists golden_file then
+      In_channel.with_open_text golden_file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    else []
+  in
+  if actual <> expected then begin
+    (* Keep the actual lines for inspection (and, after a deliberate
+       behaviour change, as the new golden file). *)
+    let dump = Filename.temp_file "vector_gen_reports" ".tsv" in
+    Out_channel.with_open_text dump (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    Printf.eprintf "actual report lines written to %s\n" dump;
+    match
+      List.find_opt
+        (fun (a, e) -> a <> e)
+        (List.combine
+           (List.filteri (fun i _ -> i < List.length expected) actual)
+           (List.filteri (fun i _ -> i < List.length actual) expected))
+    with
+    | Some (a, e) -> Alcotest.failf "report digest changed:\n  got  %s\n  want %s" a e
+    | None ->
+        Alcotest.failf "%d report lines, golden file has %d"
+          (List.length actual) (List.length expected)
+  end
+
 let () =
   Alcotest.run "core"
     [
@@ -689,6 +956,7 @@ let () =
         [
           Alcotest.test_case "cache sharing" `Quick test_rows_cache_sharing;
           Alcotest.test_case "onset first" `Quick test_rows_onset_first;
+          prop_packed_rows_match_cubes;
         ] );
       ( "engine-figure1",
         [
@@ -745,5 +1013,9 @@ let () =
           Alcotest.test_case "reverse sim wrapper" `Quick
             test_reverse_sim_entry_point;
           Alcotest.test_case "strategy parsing" `Quick test_strategy_parsing;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "vector_gen reports" `Slow test_vector_gen_golden;
         ] );
     ]

@@ -59,6 +59,28 @@ let test_counts () =
   Alcotest.(check int) "nodes" 6 (N.num_nodes net);
   Alcotest.(check int) "max arity" 2 (N.max_fanin_arity net)
 
+(* [pis]/[pos] are cached arrays: they must follow every mutation. *)
+let test_pis_pos_cache () =
+  let net = N.create () in
+  let a = N.add_pi net in
+  Alcotest.(check (array int)) "one pi" [| a |] (N.pis net);
+  Alcotest.(check bool) "cached" true (N.pis net == N.pis net);
+  Alcotest.(check (array int)) "no pos" [||] (N.pos net);
+  let b = N.add_pi net in
+  let x = N.add_gate net tt_and2 [| a; b |] in
+  Alcotest.(check (array int)) "add_pi refreshes pis" [| a; b |] (N.pis net);
+  N.add_po net x;
+  Alcotest.(check (array int)) "add_po refreshes pos" [| x |] (N.pos net);
+  N.add_po net a;
+  Alcotest.(check (array int)) "po order kept" [| x; a |] (N.pos net);
+  let c = N.add_pi net in
+  Alcotest.(check (array int)) "pi after gates" [| a; b; c |] (N.pis net);
+  Array.iteri
+    (fun i pi ->
+      Alcotest.(check bool) "pis.(i) is Pi i" true (N.kind net pi = N.Pi i))
+    (N.pis net);
+  Alcotest.(check (array int)) "pos survive add_pi" [| x; a |] (N.pos net)
+
 let test_kinds_and_names () =
   let net, (a, _, _, x, _, _) = small () in
   Alcotest.(check bool) "a is pi" true (N.is_pi net a);
@@ -417,6 +439,7 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_counts;
           Alcotest.test_case "kinds/names" `Quick test_kinds_and_names;
+          Alcotest.test_case "pis/pos cache" `Quick test_pis_pos_cache;
           Alcotest.test_case "fanouts" `Quick test_fanouts;
           Alcotest.test_case "eval" `Quick test_eval;
           Alcotest.test_case "copy" `Quick test_copy_equivalent;
