@@ -40,7 +40,24 @@ module Drup = Simgen_sat.Drup
 (* I/O helpers                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let read_network = Runner.Job.read_network
+(* A circuit that does not load ends the command the way [lint] reports
+   it: the located P001/P002 diagnostic on stderr and exit 2, never an
+   uncaught exception (which Cmdliner turns into exit 125). *)
+let load_failed diag =
+  prerr_endline (Check.Diagnostic.to_string diag);
+  exit 2
+
+let read_network path =
+  try Runner.Job.read_network path with
+  | Failure _ ->
+      load_failed
+        (Check.Diagnostic.error
+           ~loc:(Check.Diagnostic.Src (Simgen_base.Srcloc.in_file path))
+           "P002" "unknown file kind (expected .blif, .bench or .aag)")
+  | e -> (
+      match Check.Lint.load_error path e with
+      | Some diag -> load_failed diag
+      | None -> raise e)
 
 let write_network path net =
   if Filename.check_suffix path ".blif" then Blif.write_file path net
@@ -50,13 +67,18 @@ let write_network path net =
     Aiger.write_file path (Convert.aig_of_network net)
   else failwith (path ^ ": unknown extension (expected .blif/.bench/.aag)")
 
+let unknown_circuit spec =
+  load_failed
+    (Check.Diagnostic.error ~loc:(Check.Diagnostic.Named spec) "P002"
+       "neither a file nor a known benchmark")
+
 let load_or_generate spec =
   (* A circuit argument is either a file path or a suite benchmark name. *)
   if Sys.file_exists spec then read_network spec
   else
     match Suite.find spec with
     | Some _ -> Suite.lut_network spec
-    | None -> failwith (spec ^ ": neither a file nor a known benchmark")
+    | None -> unknown_circuit spec
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
@@ -177,6 +199,7 @@ let list_cmd =
 
 let gen_cmd =
   let run name output stacked =
+    if Suite.find name = None then unknown_circuit name;
     let net =
       if stacked then Suite.stacked_lut_network name else Suite.lut_network name
     in
@@ -261,12 +284,7 @@ let sweep_cmd =
 
 let certify_sweep_cmd =
   let run spec strategy iterations seed fresh out drup_out =
-    let net =
-      try load_or_generate spec
-      with Failure msg ->
-        Printf.eprintf "certify-sweep: %s\n" msg;
-        exit 2
-    in
+    let net = load_or_generate spec in
     let opts =
       { (sweep_options strategy iterations seed fresh true) with
         Sweep_options.certify = true }

@@ -1,5 +1,4 @@
 module N = Simgen_network.Network
-module TT = Simgen_network.Truth_table
 module Simulator = Simgen_sim.Simulator
 
 type t = { node : N.node_id; stuck : bool }
@@ -18,56 +17,19 @@ let to_string net fault =
   in
   Printf.sprintf "%s/SA%d" name (if fault.stuck then 1 else 0)
 
-let faulty_node_values net fault vec =
-  let vals = Array.make (N.num_nodes net) false in
-  N.iter_nodes net (fun id ->
-      let v =
-        match N.kind net id with
-        | N.Pi idx -> vec.(idx)
-        | N.Gate f ->
-            let ins = Array.map (fun fi -> vals.(fi)) (N.fanins net id) in
-            TT.eval f ins
-      in
-      vals.(id) <- (if id = fault.node then fault.stuck else v));
-  vals
-
 let faulty_eval net fault vec =
-  let vals = faulty_node_values net fault vec in
+  let vals = N.eval ~force:(fault.node, fault.stuck) net vec in
   Array.map (fun id -> vals.(id)) (N.pos net)
 
 let detects net fault vec = N.eval_pos net vec <> faulty_eval net fault vec
 
-(* Word-parallel faulty simulation: evaluate each LUT by Shannon expansion
-   over the fanin words, forcing the fault site to its stuck constant. *)
-let faulty_simulate_word net fault pi_words =
-  let words = Array.make (N.num_nodes net) 0L in
-  let eval_lut f fanin_words =
-    let rec go f j =
-      match TT.is_const f with
-      | Some false -> 0L
-      | Some true -> -1L
-      | None ->
-          let w = fanin_words.(j) in
-          let hi = go (TT.cofactor f j true) (j - 1)
-          and lo = go (TT.cofactor f j false) (j - 1) in
-          Int64.logor (Int64.logand w hi)
-            (Int64.logand (Int64.lognot w) lo)
-    in
-    go f (Array.length fanin_words - 1)
-  in
-  N.iter_nodes net (fun id ->
-      let w =
-        match N.kind net id with
-        | N.Pi idx -> pi_words.(idx)
-        | N.Gate f ->
-            eval_lut f (Array.map (fun fi -> words.(fi)) (N.fanins net id))
-      in
-      words.(id) <- (if id = fault.node then (if fault.stuck then -1L else 0L) else w));
-  words
-
 let detects_word net fault pi_words =
   let good = Simulator.simulate_word net pi_words in
-  let bad = faulty_simulate_word net fault pi_words in
+  let bad =
+    Simulator.simulate_word
+      ~force:(fault.node, if fault.stuck then -1L else 0L)
+      net pi_words
+  in
   Array.fold_left
     (fun acc po -> Int64.logor acc (Int64.logxor good.(po) bad.(po)))
     0L (N.pos net)

@@ -25,8 +25,16 @@ let tseitin_encoding net =
     ~nvars:(Solver.num_vars (Tseitin.solver env))
     (Tseitin.clauses env)
 
-let parse_error loc msg =
-  [ D.error ~loc:(D.Src loc) "P001" "parse error: %s" msg ]
+let load_error path = function
+  | Blif.Parse_error (loc, msg)
+  | Bench_format.Parse_error (loc, msg)
+  | Aiger.Parse_error (loc, msg)
+  | Dimacs.Parse_error (loc, msg)
+  | Drup.Parse_error (loc, msg) ->
+      Some (D.error ~loc:(D.Src loc) "P001" "parse error: %s" msg)
+  | Sys_error msg ->
+      Some (D.error ~loc:(D.Src (Srcloc.in_file path)) "P002" "%s" msg)
+  | _ -> None
 
 let file path =
   let ext =
@@ -49,12 +57,5 @@ let file path =
             "P002" "unknown file kind %S (expected .blif, .bench, .aag, .cnf, \
                     .dimacs or .drup)"
             ext ]
-  with
-  | Blif.Parse_error (loc, msg)
-  | Bench_format.Parse_error (loc, msg)
-  | Aiger.Parse_error (loc, msg)
-  | Dimacs.Parse_error (loc, msg)
-  | Drup.Parse_error (loc, msg) ->
-      parse_error loc msg
-  | Sys_error msg ->
-      [ D.error ~loc:(D.Src (Srcloc.in_file path)) "P002" "%s" msg ]
+  with e -> (
+    match load_error path e with Some d -> [ d ] | None -> raise e)

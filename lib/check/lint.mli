@@ -31,6 +31,13 @@ val tseitin_encoding : Simgen_network.Network.t -> Diagnostic.t list
     and lint the emitted clause stream — an end-to-end audit of the
     encoder itself. *)
 
+val load_error : string -> exn -> Diagnostic.t option
+(** The diagnostic for an exception raised while reading [path]: [P001]
+    with the parser's file/line for a parse error, [P002] for an
+    unreadable file, [None] for any other exception. {!file} reports
+    load failures this way, and so does every CLI subcommand that loads
+    a circuit. *)
+
 val file : string -> Diagnostic.t list
 (** Route by extension: [.blif] and [.bench] parse to a network and run
     the network lints; [.aag] parses to an AIG and runs the AIG lints;

@@ -133,15 +133,29 @@ let iter_nodes t f =
 let iter_gates t f =
   iter_nodes t (fun id -> if not (is_pi t id) then f id)
 
-let eval t pi_values =
+(* The fanin values index the table directly: bit [i] of the minterm is
+   fanin [i], so a gate costs no allocation. *)
+let eval ?force t pi_values =
   if Array.length pi_values <> num_pis t then invalid_arg "Network.eval";
+  let forced, forced_value =
+    match force with Some (id, v) -> (id, v) | None -> (-1, false)
+  in
   let vals = Array.make (num_nodes t) false in
-  iter_nodes t (fun id ->
-      match (node t id).kind with
-      | Pi idx -> vals.(id) <- pi_values.(idx)
-      | Gate f ->
-          let ins = Array.map (fun fi -> vals.(fi)) (node t id).fanins in
-          vals.(id) <- Truth_table.eval f ins);
+  for id = 0 to num_nodes t - 1 do
+    let nd = Vec.get t.nodes id in
+    vals.(id) <-
+      (if id = forced then forced_value
+       else
+         match nd.kind with
+         | Pi idx -> pi_values.(idx)
+         | Gate f ->
+             let fanins = nd.fanins in
+             let m = ref 0 in
+             for i = 0 to Array.length fanins - 1 do
+               if vals.(fanins.(i)) then m := !m lor (1 lsl i)
+             done;
+             Truth_table.get_bit f !m)
+  done;
   vals
 
 let eval_pos t pi_values =

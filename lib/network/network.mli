@@ -64,10 +64,12 @@ val iter_nodes : t -> (node_id -> unit) -> unit
 
 val iter_gates : t -> (node_id -> unit) -> unit
 
-val eval : t -> bool array -> bool array
+val eval : ?force:node_id * bool -> t -> bool array -> bool array
 (** [eval t pi_values] simulates one input vector scalar-ly and returns the
-    value of every node, indexed by id. Mostly for tests; the word-parallel
-    simulator lives in [simgen_sim]. *)
+    value of every node, indexed by id. [~force:(id, v)] pins node [id] to
+    [v] (a stuck-at fault) before its fanouts read it. The sweeper uses it
+    to resimulate a single counter-example; the word-parallel simulator
+    for batches of 64 vectors lives in [simgen_sim]. *)
 
 val eval_pos : t -> bool array -> bool array
 (** PO values only, in PO order. *)

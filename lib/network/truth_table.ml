@@ -67,6 +67,8 @@ let eval t inputs =
   done;
   get_bit t !m
 
+let word t i = t.words.(i)
+
 let map2 f a b =
   if a.nvars <> b.nvars then invalid_arg "Truth_table: arity mismatch";
   normalize { nvars = a.nvars; words = Array.map2 f a.words b.words }

@@ -30,6 +30,12 @@ val get_bit : t -> int -> bool
 val eval : t -> bool array -> bool
 (** [eval t inputs] with [Array.length inputs = nvars t]. *)
 
+val word : t -> int -> int64
+(** [word t i] is the [i]-th 64-bit block of the table: bit [b] is the
+    output on minterm [64 i + b]. A table over [n < 6] variables has one
+    block whose bits from [2^n] up are zero. Read-only access for
+    evaluation kernels that walk the minterm bits directly. *)
+
 (** Pointwise connectives. Arguments must have equal [nvars]. *)
 
 val not_ : t -> t

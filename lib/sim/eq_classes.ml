@@ -3,25 +3,21 @@ module N = Simgen_network.Network
 type t = {
   net : N.t;
   mutable groups : int list list;  (* classes of size >= 2, members sorted *)
-  (* node id -> its current class; absent for singletons and PIs. Rebuilt
-     on every refinement so [class_of] is a lookup, not a scan — the
-     sweeper's worklist consults it once per SAT call. *)
-  by_node : (int, int list) Hashtbl.t;
+  (* node id -> its current class, [] for singletons and PIs; the sweeper's
+     worklist consults it once per SAT call. Refinement rewrites only the
+     entries of classes that split. *)
+  by_node : int list array;
 }
 
-let reindex t =
-  Hashtbl.reset t.by_node;
-  List.iter
-    (fun group -> List.iter (fun id -> Hashtbl.replace t.by_node id group) group)
-    t.groups
+let index t group = List.iter (fun id -> t.by_node.(id) <- group) group
 
 let create net =
   let gates = ref [] in
   N.iter_gates net (fun id -> gates := id :: !gates);
   let members = List.rev !gates in
   let groups = if List.length members >= 2 then [ members ] else [] in
-  let t = { net; groups; by_node = Hashtbl.create 256 } in
-  reindex t;
+  let t = { net; groups; by_node = Array.make (N.num_nodes net) [] } in
+  List.iter (index t) groups;
   t
 
 let split_group key group =
@@ -39,18 +35,37 @@ let split_group key group =
       | ms -> List.rev ms :: acc)
     tbl []
 
-let refine_with_key t key =
-  t.groups <-
-    List.concat_map (split_group key) t.groups
-    |> List.sort (fun a b ->
-           match (a, b) with
-           | x :: _, y :: _ -> compare x y
-           | _ -> assert false);
-  reindex t
+(* Most classes do not split on a given batch; those keep their list and
+   their index entries, so only split classes are hashed and re-indexed. *)
+let refine_with_key t equal key =
+  let changed = ref false in
+  let groups =
+    List.concat_map
+      (fun group ->
+        match group with
+        | first :: rest
+          when let k = key first in
+               not (List.for_all (fun id -> equal (key id) k) rest) ->
+            changed := true;
+            let parts = split_group key group in
+            List.iter (fun id -> t.by_node.(id) <- []) group;
+            List.iter (index t) parts;
+            parts
+        | _ -> [ group ])
+      t.groups
+  in
+  if !changed then
+    t.groups <-
+      List.sort
+        (fun a b ->
+          match (a, b) with
+          | x :: _, y :: _ -> compare x y
+          | _ -> assert false)
+        groups
 
-let refine_word t words = refine_with_key t (fun id -> words.(id))
+let refine_word t words = refine_with_key t Int64.equal (fun id -> words.(id))
 
-let refine_vector t values = refine_with_key t (fun id -> values.(id))
+let refine_vector t values = refine_with_key t Bool.equal (fun id -> values.(id))
 
 let classes t = t.groups
 
@@ -60,7 +75,6 @@ let cost t =
   List.fold_left (fun acc g -> acc + List.length g - 1) 0 t.groups
 
 let class_of t id =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_node id)
+  if id >= 0 && id < Array.length t.by_node then t.by_node.(id) else []
 
-let copy t =
-  { net = t.net; groups = t.groups; by_node = Hashtbl.copy t.by_node }
+let copy t = { t with by_node = Array.copy t.by_node }

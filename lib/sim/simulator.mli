@@ -2,13 +2,19 @@
 
     Simulates 64 input vectors at a time: each node's value is an [int64]
     word whose bit [k] is the node's output under the [k]-th vector of the
-    batch. LUT evaluation walks the node's truth table once per word using
-    Shannon cofactoring over the fanin words. *)
+    batch. A k-input LUT is a mux tree over its 2^k minterm bits, folded
+    bottom-up one fanin word per level: 2^k - 1 word muxes in an unboxed
+    scratch buffer, with no allocation besides the result word. *)
 
 val simulate_word :
-  Simgen_network.Network.t -> int64 array -> int64 array
+  ?force:Simgen_network.Network.node_id * int64 ->
+  Simgen_network.Network.t ->
+  int64 array ->
+  int64 array
 (** [simulate_word net pi_words] takes one word per PI (by PI index) and
-    returns one word per node (by node id). *)
+    returns one word per node (by node id). [~force:(id, w)] pins node
+    [id] to the word [w] before its fanouts read it (a stuck-at fault is
+    [w = 0L] or [-1L]). *)
 
 val random_word :
   Simgen_base.Rng.t -> Simgen_network.Network.t -> int64 array

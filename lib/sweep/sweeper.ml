@@ -191,10 +191,10 @@ let random_round t =
   Eq.refine_word t.eq node_words;
   record_cost t
 
+(* One vector is one scalar pass: broadcasting it into all 64 lanes of a
+   word simulation would compute the same bit 64 times. *)
 let apply_vector t vec =
-  let words = Simulator.word_of_vector t.net vec in
-  let node_words = Simulator.simulate_word t.net words in
-  Eq.refine_word t.eq node_words;
+  Eq.refine_vector t.eq (N.eval t.net vec);
   record_cost t
 
 (* Pack a list of vectors into 64-lane words so [n] vectors cost
@@ -321,21 +321,7 @@ let guided_round_config t config =
         fill rest
   in
   fill ordered;
-  (match !vectors with
-   | [] -> ()
-   | vecs ->
-       let words = Array.make (N.num_pis t.net) 0L in
-       List.iteri (fun lane vec -> Simulator.vector_word vec lane words) vecs;
-       (* Unused lanes replay lane 0 so they cannot split anything. *)
-       (match vecs with
-        | first :: _ ->
-            for lane = List.length vecs to batch_lanes - 1 do
-              Simulator.vector_word first lane words
-            done
-        | [] -> ());
-       let node_words = Simulator.simulate_word t.net words in
-       Eq.refine_word t.eq node_words;
-       record_cost t);
+  apply_vectors t !vectors;
   let d =
     {
       iterations = 1;
@@ -393,17 +379,7 @@ let sat_guided_round t =
         fill rest
   in
   fill ordered;
-  (match !vectors with
-   | [] -> ()
-   | first :: _ as vecs ->
-       let words = Array.make (N.num_pis t.net) 0L in
-       List.iteri (fun lane vec -> Simulator.vector_word vec lane words) vecs;
-       for lane = List.length vecs to batch_lanes - 1 do
-         Simulator.vector_word first lane words
-       done;
-       let node_words = Simulator.simulate_word t.net words in
-       Eq.refine_word t.eq node_words;
-       record_cost t);
+  apply_vectors t !vectors;
   let d =
     {
       empty_guided with

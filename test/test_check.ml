@@ -276,6 +276,21 @@ let test_unknown_extension () =
   check_code "unknown kind" "P002" (Check.Lint.file path);
   Sys.remove path
 
+(* The mapping every circuit-loading CLI subcommand reports through. *)
+let test_load_error_mapping () =
+  let loc = Simgen_base.Srcloc.make ~file:"c.blif" ~line:3 () in
+  (match
+     Check.Lint.load_error "c.blif" (Simgen_network.Blif.Parse_error (loc, "bad"))
+   with
+   | Some { D.code = "P001"; loc = D.Src l; _ } ->
+       Alcotest.(check (option int)) "line kept" (Some 3) l.Simgen_base.Srcloc.line
+   | _ -> Alcotest.fail "expected a located P001");
+  (match Check.Lint.load_error "c.aag" (Sys_error "c.aag: denied") with
+   | Some { D.code = "P002"; _ } -> ()
+   | _ -> Alcotest.fail "expected P002");
+  Alcotest.(check bool) "other exceptions pass through" true
+    (Check.Lint.load_error "c.bench" Not_found = None)
+
 let test_file_dispatch_clean () =
   (* Round-trip a generated benchmark through each format and lint the
      file: no errors anywhere. *)
@@ -917,6 +932,7 @@ let () =
           Alcotest.test_case "P001 located" `Quick test_parse_error_located;
           Alcotest.test_case "P001 aiger ranges" `Quick test_aiger_range_errors;
           Alcotest.test_case "P002 unknown" `Quick test_unknown_extension;
+          Alcotest.test_case "load error mapping" `Quick test_load_error_mapping;
           Alcotest.test_case "dispatch clean" `Quick test_file_dispatch_clean;
         ] );
       ( "suites",

@@ -26,15 +26,35 @@ let random_net rng npis ngates =
 (* Simulator                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Gates of every arity in [arities], fanins drawn with repetition from
+   [fanin_pool] nodes of the most recent ones, so a small pool forces the
+   same node onto several inputs of one LUT. *)
+let random_net_arities rng ~npis ~ngates ~arities ~fanin_pool =
+  let net = N.create () in
+  let ids = ref [] in
+  for _ = 1 to npis do
+    ids := N.add_pi net :: !ids
+  done;
+  for _ = 1 to ngates do
+    let pool = Array.of_list (List.filteri (fun i _ -> i < fanin_pool) !ids) in
+    let arity = Rng.choose rng arities in
+    let fanins = Array.init arity (fun _ -> Rng.choose rng pool) in
+    ids := N.add_gate net (TT.random rng arity) fanins :: !ids
+  done;
+  N.add_po net (List.hd !ids);
+  net
+
 let test_word_vs_scalar () =
-  (* Word simulation bit k must equal scalar simulation of vector k. *)
+  (* Word simulation lane k must equal scalar simulation of vector k, on
+     all 64 lanes; and each gate's lane value must be its own table
+     applied to its fanins' lane values (TT.eval, independent of both
+     simulators). *)
   let rng = Rng.create 101 in
-  for _ = 1 to 15 do
-    let npis = 3 + Rng.int rng 5 in
-    let net = random_net rng npis 25 in
+  let check_net net =
+    let npis = N.num_pis net in
     let words = Sim.random_word rng net in
     let node_words = Sim.simulate_word net words in
-    for k = 0 to 7 do
+    for k = 0 to 63 do
       let vec =
         Array.init npis (fun i ->
             Int64.logand (Int64.shift_right_logical words.(i) k) 1L = 1L)
@@ -42,8 +62,29 @@ let test_word_vs_scalar () =
       let scalar = N.eval net vec in
       let from_word = Sim.node_values_bit node_words k in
       N.iter_nodes net (fun id ->
-          Alcotest.(check bool) "bit matches scalar" scalar.(id) from_word.(id))
+          Alcotest.(check bool) "bit matches scalar" scalar.(id) from_word.(id);
+          match N.kind net id with
+          | N.Pi _ -> ()
+          | N.Gate f ->
+              let ins = Array.map (fun fi -> from_word.(fi)) (N.fanins net id) in
+              Alcotest.(check bool) "bit matches table" (TT.eval f ins)
+                from_word.(id))
     done
+  in
+  for _ = 1 to 15 do
+    check_net (random_net rng (3 + Rng.int rng 5) 25)
+  done;
+  (* Arity 0 (constants) through 8: 7 and 8 give multi-word tables. *)
+  for _ = 1 to 6 do
+    check_net
+      (random_net_arities rng ~npis:9 ~ngates:40
+         ~arities:[| 0; 1; 2; 3; 4; 5; 6; 7; 8 |] ~fanin_pool:12)
+  done;
+  (* Duplicated fanins: two candidate nodes for up to 8 inputs. *)
+  for _ = 1 to 6 do
+    check_net
+      (random_net_arities rng ~npis:3 ~ngates:30
+         ~arities:[| 2; 3; 6; 7; 8 |] ~fanin_pool:2)
   done
 
 let test_word_of_vector_broadcast () =

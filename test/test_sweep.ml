@@ -417,6 +417,27 @@ let test_apply_vectors_matches_one_by_one () =
   Alcotest.(check int) "word-packed: 100 vectors in 2 passes" 2
     (List.length (Sweeper.cost_history sw1))
 
+(* The scalar counter-example path against the word path it replaced: a
+   broadcast word simulation refined through [Eq.refine_word]. *)
+let test_apply_vector_matches_word_path () =
+  let rng = Rng.create 907 in
+  for _ = 1 to 10 do
+    let npis = 3 + Rng.int rng 6 in
+    let net = random_net rng npis 40 in
+    let sw = Sweeper.create (opts 1) net in
+    let reference = Eq.create net in
+    for _ = 1 to 20 do
+      let vec = Array.init npis (fun _ -> Rng.bool rng) in
+      Sweeper.apply_vector sw vec;
+      Eq.refine_word reference
+        (Simgen_sim.Simulator.simulate_word net
+           (Simgen_sim.Simulator.word_of_vector net vec));
+      Alcotest.(check (list (list int)))
+        "same classes" (Eq.classes reference)
+        (Eq.classes (Sweeper.classes sw))
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Merged-network extraction and counter-example minimization          *)
 (* ------------------------------------------------------------------ *)
@@ -974,6 +995,8 @@ let () =
           Alcotest.test_case "sat sweep on_cex" `Quick test_sat_sweep_on_cex;
           Alcotest.test_case "apply_vectors word-packs" `Quick
             test_apply_vectors_matches_one_by_one;
+          Alcotest.test_case "apply_vector = word path" `Quick
+            test_apply_vector_matches_word_path;
           Alcotest.test_case "merges are sound" `Quick
             test_sweep_random_networks_sound;
         ] );

@@ -57,6 +57,19 @@ let test_eval_vs_get_bit () =
     Alcotest.(check bool) "eval" (TT.get_bit f m) (TT.eval f inputs)
   done
 
+let test_word_vs_get_bit () =
+  for n = 0 to 8 do
+    let f = TT.random rng n in
+    for m = 0 to (1 lsl n) - 1 do
+      let bit = Int64.shift_right_logical (TT.word f (m lsr 6)) (m land 63) in
+      Alcotest.(check bool) "word bit" (TT.get_bit f m)
+        (Int64.logand bit 1L = 1L)
+    done;
+    if n < 6 then
+      Alcotest.(check int64) "bits past 2^n are zero" 0L
+        (Int64.shift_right_logical (TT.word f 0) (1 lsl n))
+  done
+
 let test_bad_args () =
   Alcotest.check_raises "nvars too big"
     (Invalid_argument "Truth_table: nvars out of range") (fun () ->
@@ -182,6 +195,7 @@ let () =
           Alcotest.test_case "var semantics" `Quick test_var_semantics;
           Alcotest.test_case "of_bits" `Quick test_of_bits_matches_get_bit;
           Alcotest.test_case "eval" `Quick test_eval_vs_get_bit;
+          Alcotest.test_case "word" `Quick test_word_vs_get_bit;
           Alcotest.test_case "bad args" `Quick test_bad_args;
           Alcotest.test_case "of_minterms" `Quick test_of_minterms;
         ] );
