@@ -79,22 +79,9 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-(* Minimal JSON string escaping: the messages are ASCII printf output, but
-   node names from parsed files can contain anything. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Simgen_base.Json.escape buf s;
   Buffer.contents buf
 
 let loc_to_json = function

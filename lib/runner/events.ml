@@ -34,21 +34,6 @@ type payload =
       session_rebuilds : int;
     }
   | Quarantine of { a : int; b : int }
-  | Fun_cache_stats of {
-      consults : int;
-      hits : int;
-      misses : int;
-      local_proofs : int;
-      pattern_hits : int;
-      collisions : int;
-      evictions : int;
-      dropped : int;
-      entries : int;
-      bytes : int;
-      journal_appends : int;
-      journal_replayed : int;
-      checkpoints : int;
-    }
   | Certificate of {
       queries : int;
       proved : int;
@@ -80,20 +65,6 @@ type event = { job : int; label : string; at : float; payload : payload }
 (* and the schema is flat enough that a writer is all we need)         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_field buf first name value =
   if not !first then Buffer.add_char buf ',';
   first := false;
@@ -105,7 +76,7 @@ let add_field buf first name value =
 let str s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';
-  json_escape buf s;
+  Simgen_base.Json.escape buf s;
   Buffer.add_char buf '"';
   Buffer.contents buf
 
@@ -121,7 +92,6 @@ let phase_name = function
   | Retry _ -> "retry"
   | Degrade _ -> "degrade"
   | Quarantine _ -> "quarantine"
-  | Fun_cache_stats _ -> "fun-cache"
   | Certificate _ -> "certificate"
   | Finished _ -> "finished"
 
@@ -183,20 +153,6 @@ let to_json { job; label; at; payload } =
    | Quarantine { a; b } ->
        int_field "a" a;
        int_field "b" b
-   | Fun_cache_stats s ->
-       int_field "consults" s.consults;
-       int_field "hits" s.hits;
-       int_field "misses" s.misses;
-       int_field "local_proofs" s.local_proofs;
-       int_field "pattern_hits" s.pattern_hits;
-       int_field "collisions" s.collisions;
-       int_field "evictions" s.evictions;
-       int_field "dropped" s.dropped;
-       int_field "entries" s.entries;
-       int_field "bytes" s.bytes;
-       int_field "journal_appends" s.journal_appends;
-       int_field "journal_replayed" s.journal_replayed;
-       int_field "checkpoints" s.checkpoints
    | Certificate c ->
        int_field "queries" c.queries;
        int_field "proved" c.proved;

@@ -53,26 +53,6 @@ type payload =
   | Quarantine of { a : int; b : int }
       (** a candidate pair every ladder rung gave up on — reported, never
           merged *)
-  | Fun_cache_stats of {
-      consults : int;
-      hits : int;
-      misses : int;
-      local_proofs : int;
-      pattern_hits : int;
-      collisions : int;
-      evictions : int;
-      dropped : int;
-      entries : int;
-      bytes : int;
-      journal_appends : int;
-      journal_replayed : int;
-      checkpoints : int;
-    }
-      (** per-job delta of the cross-request NPN function cache
-          ({!Simgen_sweep.Fun_cache}), except [entries]/[bytes] and the
-          journal/checkpoint persistence counters, which are the cache's
-          resident totals at job finish; emitted only when a cache was
-          attached to the job *)
   | Certificate of {
       queries : int;
       proved : int;

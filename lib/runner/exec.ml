@@ -45,14 +45,10 @@ let fault_delta before after =
       if n > prev then Some (site, n - prev) else None)
     after
 
-let run ?cache ?fun_cache ?cancel ~events ~worker (spec : Job.spec) : Job.result
-    =
+let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
   let t0 = Timer.now () in
   let emit payload = Events.emit events ~job:spec.id ~label:spec.label payload in
   emit (Started { worker });
-  let fc_before =
-    Option.map Simgen_sweep.Fun_cache.stats fun_cache
-  in
   let cache_hits = ref 0 and cache_added = ref 0 in
   let po_calls = ref 0 in
   (* PO-phase solver-counter deltas, kept apart from the sweep's own
@@ -95,39 +91,6 @@ let run ?cache ?fun_cache ?cancel ~events ~worker (spec : Job.spec) : Job.result
             (List.rev d.Sweeper.quarantined);
           d.Sweeper.quarantined
     in
-    (* Function-cache telemetry: this job's consult/hit deltas plus the
-       cache's resident totals. The cache outlives the job (it is the
-       serving layer's cross-request asset), hence the delta. *)
-    (match (fun_cache, fc_before) with
-     | Some fc, Some b ->
-         let s = Simgen_sweep.Fun_cache.stats fc in
-         emit
-           (Fun_cache_stats
-              {
-                consults = s.Simgen_sweep.Fun_cache.consults - b.Simgen_sweep.Fun_cache.consults;
-                hits = s.Simgen_sweep.Fun_cache.hits - b.Simgen_sweep.Fun_cache.hits;
-                misses = s.Simgen_sweep.Fun_cache.misses - b.Simgen_sweep.Fun_cache.misses;
-                local_proofs =
-                  s.Simgen_sweep.Fun_cache.local_proofs
-                  - b.Simgen_sweep.Fun_cache.local_proofs;
-                pattern_hits =
-                  s.Simgen_sweep.Fun_cache.pattern_hits
-                  - b.Simgen_sweep.Fun_cache.pattern_hits;
-                collisions =
-                  s.Simgen_sweep.Fun_cache.collisions
-                  - b.Simgen_sweep.Fun_cache.collisions;
-                evictions =
-                  s.Simgen_sweep.Fun_cache.evictions
-                  - b.Simgen_sweep.Fun_cache.evictions;
-                dropped =
-                  s.Simgen_sweep.Fun_cache.dropped - b.Simgen_sweep.Fun_cache.dropped;
-                entries = s.Simgen_sweep.Fun_cache.entries;
-                bytes = s.Simgen_sweep.Fun_cache.bytes;
-                journal_appends = s.Simgen_sweep.Fun_cache.journal_appends;
-                journal_replayed = s.Simgen_sweep.Fun_cache.journal_replayed;
-                checkpoints = s.Simgen_sweep.Fun_cache.checkpoints;
-              })
-     | _ -> ());
     let result =
       {
         Job.spec;
@@ -241,7 +204,6 @@ let run ?cache ?fun_cache ?cancel ~events ~worker (spec : Job.spec) : Job.result
         certify = spec.certify;
         solver_audit = spec.solver_audit;
         should_stop = stop;
-        fun_cache;
       }
     in
     let sweeper = Sweeper.create sweep_opts net in

@@ -5,14 +5,8 @@
 
 val run :
   ?cache:Pattern_cache.t ->
-  ?fun_cache:Simgen_sweep.Fun_cache.t ->
   ?cancel:bool Simgen_base.Shared.Atomic.t ->
   events:Events.sink ->
   worker:int ->
   Job.spec ->
   Job.result
-(** [fun_cache] attaches the serving layer's cross-request NPN function
-    cache: {!Simgen_sweep.Sweeper.verify_pair} consults it before any
-    SAT query and populates it on every verdict, and a [fun-cache]
-    telemetry event with the job's hit/miss deltas is emitted at
-    finish. *)

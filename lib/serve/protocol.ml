@@ -14,20 +14,6 @@ type json =
 
 (* ---------------- printer ---------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -35,7 +21,7 @@ let rec write buf = function
   | Float f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
   | String s ->
       Buffer.add_char buf '"';
-      escape buf s;
+      Simgen_base.Json.escape buf s;
       Buffer.add_char buf '"'
   | List xs ->
       Buffer.add_char buf '[';
@@ -51,7 +37,7 @@ let rec write buf = function
         (fun i (name, x) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape buf name;
+          Simgen_base.Json.escape buf name;
           Buffer.add_string buf "\":";
           write buf x)
         fields;

@@ -6,7 +6,6 @@ module Job = Simgen_runner.Job
 module Budget = Simgen_runner.Budget
 module Manifest = Simgen_runner.Manifest
 module Pattern_cache = Simgen_runner.Pattern_cache
-module Fun_cache = Simgen_sweep.Fun_cache
 module Sweeper = Simgen_sweep.Sweeper
 module Lint = Simgen_check.Lint
 module Diagnostic = Simgen_check.Diagnostic
@@ -15,9 +14,7 @@ module Fault = Simgen_fault.Fault
 type t = {
   workers : int;
   max_queue : int;  (* admission bound on queued (not in-flight) jobs *)
-  fun_cache : Fun_cache.t option;
   pattern_cache : Pattern_cache.t option;
-  cache_save : string option;
   telemetry : Events.sink;
   started : float;
   stop : bool Shared.Atomic.t;  (* drain flag: refuse new work *)
@@ -31,8 +28,8 @@ type t = {
       (* jobs whose deadline passed: shed before dispatch or cut short *)
 }
 
-let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache ?cache_save
-    ?(telemetry = Events.null) () =
+let create ?workers ?(max_queue = 64) ?pattern_cache ?(telemetry = Events.null)
+    () =
   let workers =
     match workers with
     | Some w -> max 1 w
@@ -41,9 +38,7 @@ let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache ?cache_save
   {
     workers;
     max_queue = max 1 max_queue;
-    fun_cache;
     pattern_cache;
-    cache_save;
     telemetry;
     started = Timer.now ();
     stop = Shared.Atomic.make ~loc:(Shared.here __POS__) "serve.stop" false;
@@ -69,15 +64,6 @@ let shutting_down t = Shared.Atomic.get t.stop
 let request_shutdown t =
   Shared.Atomic.silent_set t.stop true;
   Shared.Atomic.silent_set t.cancel true
-
-(* With a journal enabled, persistence goes through a checkpoint (atomic
-   snapshot + journal truncation) so the pair on disk stays consistent;
-   otherwise a plain (still atomic) snapshot. *)
-let snapshot t =
-  match (t.fun_cache, t.cache_save) with
-  | Some fc, _ when Fun_cache.journal_enabled fc -> Fun_cache.checkpoint fc
-  | Some fc, Some path -> Fun_cache.save fc path
-  | Some _, None | None, Some _ | None, None -> Ok ()
 
 (* Fold a wire deadline into a job spec: the job's effective budget
    deadline is the smaller of what the manifest args asked for and what
@@ -165,8 +151,7 @@ let run_job t ?on_event ~worker spec =
             | Error _ -> ()))
   in
   let r =
-    Exec.run ?cache:t.pattern_cache ?fun_cache:t.fun_cache ~cancel:t.cancel
-      ~events:sink ~worker spec
+    Exec.run ?cache:t.pattern_cache ~cancel:t.cancel ~events:sink ~worker spec
   in
   if job_succeeded r then Shared.Atomic.incr t.jobs_ok
   else Shared.Atomic.incr t.jobs_err;
@@ -229,36 +214,7 @@ let stats_fields t =
               ] );
         ]
   in
-  let fun_cache =
-    match t.fun_cache with
-    | None -> []
-    | Some fc ->
-        let s = Fun_cache.stats fc in
-        [
-          ( "fun_cache",
-            Obj
-              [
-                ("consults", Int s.Fun_cache.consults);
-                ("hits", Int s.Fun_cache.hits);
-                ("misses", Int s.Fun_cache.misses);
-                ("unsupported", Int s.Fun_cache.unsupported);
-                ("local_proofs", Int s.Fun_cache.local_proofs);
-                ("local_cexes", Int s.Fun_cache.local_cexes);
-                ("pattern_hits", Int s.Fun_cache.pattern_hits);
-                ("collisions", Int s.Fun_cache.collisions);
-                ("inserts", Int s.Fun_cache.inserts);
-                ("evictions", Int s.Fun_cache.evictions);
-                ("dropped", Int s.Fun_cache.dropped);
-                ("entries", Int s.Fun_cache.entries);
-                ("bytes", Int s.Fun_cache.bytes);
-                ("journal_appends", Int s.Fun_cache.journal_appends);
-                ("journal_replayed", Int s.Fun_cache.journal_replayed);
-                ("journal_corrupt", Int s.Fun_cache.journal_corrupt);
-                ("checkpoints", Int s.Fun_cache.checkpoints);
-              ] );
-        ]
-  in
-  base @ patterns @ fun_cache
+  base @ patterns
 
 let handle t ?on_event req =
   Shared.Atomic.incr t.requests;
@@ -275,10 +231,7 @@ let handle t ?on_event req =
     | Stats -> Result (stats_fields t)
     | Shutdown ->
         request_shutdown t;
-        let saved =
-          match snapshot t with Ok () -> true | Error _ -> false
-        in
-        Result [ ("status", String "shutting-down"); ("cache_saved", Bool saved) ]
+        Result [ ("status", String "shutting-down") ]
     | Lint { target } -> Result (lint_fields target)
     | Job { cmd; args; deadline_ms } ->
         if Shared.Atomic.get t.stop then Failed "server is shutting down"
@@ -309,11 +262,16 @@ let handle t ?on_event req =
 type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;
+  mutable scanned : int;  (* bytes of [rbuf] known to hold no newline *)
   wmutex : Shared.Mutex.t;
   alive : bool Shared.Cell.t;
   inflight : int Shared.Cell.t;
   mutable eof : bool;
 }
+
+(* The longest request line a connection may buffer: a client that never
+   sends a newline must not grow the daemon's memory without bound. *)
+let max_line_bytes = 1 lsl 20
 
 let with_lock m f = Shared.Mutex.with_lock m f
 
@@ -439,21 +397,28 @@ let worker_loop t q i =
   in
   loop ()
 
-(* Split complete lines off the connection's read buffer. *)
+(* Split complete lines off the connection's read buffer, and report
+   whether a line, complete or pending, exceeds [max_line_bytes]. Only
+   bytes added since the last call are scanned, and the tail kept after
+   a newline comes from the newest read, so a read costs time in its own
+   length plus the lines it completes, never in the whole buffer. *)
 let drain_lines conn =
-  let data = Buffer.contents conn.rbuf in
-  let lines = ref [] in
-  let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = '\n' then begin
-        lines := String.sub data !start (i - !start) :: !lines;
-        start := i + 1
-      end)
-    data;
-  Buffer.clear conn.rbuf;
-  Buffer.add_substring conn.rbuf data !start (String.length data - !start);
-  List.rev !lines
+  let len = Buffer.length conn.rbuf in
+  let lines = ref [] and start = ref 0 and overflow = ref false in
+  for i = conn.scanned to len - 1 do
+    if Buffer.nth conn.rbuf i = '\n' then begin
+      if i - !start > max_line_bytes then overflow := true
+      else lines := Buffer.sub conn.rbuf !start (i - !start) :: !lines;
+      start := i + 1
+    end
+  done;
+  if !start > 0 then begin
+    let rest = Buffer.sub conn.rbuf !start (len - !start) in
+    Buffer.clear conn.rbuf;
+    Buffer.add_string conn.rbuf rest
+  end;
+  conn.scanned <- Buffer.length conn.rbuf;
+  (List.rev !lines, !overflow || conn.scanned > max_line_bytes)
 
 (* The retry-after hint when shedding: a full queue clears in roughly
    (depth / workers) × typical-job-time; with job times unknown, a small
@@ -500,7 +465,19 @@ let read_chunk t q conn =
   | 0 -> conn.eof <- true
   | n ->
       Buffer.add_subbytes conn.rbuf buf 0 n;
-      List.iter (handle_line t q conn) (drain_lines conn)
+      let lines, overflow = drain_lines conn in
+      List.iter (handle_line t q conn) lines;
+      if overflow then begin
+        (* Answer, then hang up: the rest of an oversized line cannot be
+           told apart from the requests after it. *)
+        write_frame conn ~id:0
+          (Protocol.Failed
+             (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
+        Buffer.reset conn.rbuf;
+        conn.scanned <- 0;
+        conn.eof <- true;
+        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+      end
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       conn.eof <- true
 
@@ -548,6 +525,7 @@ let serve t ~socket =
                      {
                        fd = client;
                        rbuf = Buffer.create 256;
+                       scanned = 0;
                        wmutex = Shared.Mutex.create ~loc:cloc "serve.conn.wmutex";
                        alive = Shared.Cell.make ~loc:cloc "serve.conn.alive" true;
                        inflight =
@@ -582,5 +560,4 @@ let serve t ~socket =
   List.iter Shared.join domains;
   List.iter close_conn !conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
-  match snapshot t with Ok () -> () | Error _ -> ()
+  try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ()

@@ -15,7 +15,6 @@ type t = {
   solver_audit : bool;
   should_stop : unit -> bool;
   on_cex : (bool array -> unit) option;
-  fun_cache : Fun_cache.t option;
 }
 
 let default =
@@ -36,5 +35,4 @@ let default =
     solver_audit = false;
     should_stop = (fun () -> false);
     on_cex = None;
-    fun_cache = None;
   }

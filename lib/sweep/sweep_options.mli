@@ -61,11 +61,6 @@ type t = {
       (** cooperative cancellation, polled between units of work *)
   on_cex : (bool array -> unit) option;
       (** observer for every counter-example found *)
-  fun_cache : Fun_cache.t option;
-      (** cross-request NPN function cache consulted by
-          {!Sweeper.verify_pair} before any SAT query and populated on
-          every SAT verdict (the serving layer's shared asset). [None]
-          (the default) disables consultation entirely. *)
 }
 
 val default : t

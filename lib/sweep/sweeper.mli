@@ -179,9 +179,11 @@ val verify_pair :
   Simgen_network.Network.node_id ->
   Sat_session.verdict * Simgen_sat.Solver.stats
 (** One candidate query through the degradation ladder. The pair is
-    resolved to representatives first; then, on the default incremental
-    route: a session query at [max_conflicts]; on [Unknown], the same
-    query at 4x the budget, [escalations] times (the session keeps its
+    resolved to representatives first and offered to {!Cut_check}, which
+    decides it without SAT when truth tables over a small shared cut
+    suffice (never [Equal] under [certify]). Otherwise, on the default
+    incremental route: a session query at [max_conflicts]; on [Unknown],
+    the same query at 4x the budget, [escalations] times (the session keeps its
     learned clauses, so each retry resumes paid-for work); then a fresh
     solver at the next budget; then {!Bdd_backend.check_pair} under
     [bdd_fallback_nodes]; and finally quarantine — the pair is recorded

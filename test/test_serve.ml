@@ -1,47 +1,12 @@
-(* The serving layer: the JSONL protocol codec, the cross-request NPN
-   function cache (trust boundary: a hit can never change a verdict),
-   and the daemon's request handler exercised in-process.
+(* The serving layer: the JSONL protocol codec and the daemon's request
+   handler, exercised in-process and over a real socket. *)
 
-   The adversarial NPN-collision cases — equal canonical signatures over
-   inequivalent functions — live in test_npn.ml next to the
-   canonicalisation they attack. *)
-
-module N = Simgen_network.Network
-module TT = Simgen_network.Truth_table
-module Rng = Simgen_base.Rng
 module Shared = Simgen_base.Shared
-module Fault = Simgen_fault.Fault
 module Retry_policy = Simgen_runner.Retry_policy
-module Fun_cache = Simgen_sweep.Fun_cache
+module Pattern_cache = Simgen_runner.Pattern_cache
 module Protocol = Simgen_serve.Protocol
 module Server = Simgen_serve.Server
 module Client = Simgen_serve.Client
-
-let tt_and2 = TT.and_ (TT.var 0 2) (TT.var 1 2)
-let tt_or2 = TT.or_ (TT.var 0 2) (TT.var 1 2)
-
-let identity_subst net = Array.init (N.num_nodes net) Fun.id
-
-(* Direct cone evaluation: the test-side oracle for counterexamples. *)
-let eval net vec id =
-  let memo = Hashtbl.create 16 in
-  let rec ev id =
-    match Hashtbl.find_opt memo id with
-    | Some v -> v
-    | None ->
-        let v =
-          match N.kind net id with
-          | N.Pi k -> vec.(k)
-          | N.Gate f -> TT.eval f (Array.map ev (N.fanins net id))
-        in
-        Hashtbl.replace memo id v;
-        v
-  in
-  ev id
-
-let with_faults f =
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset f
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -128,384 +93,7 @@ let test_frame_roundtrip () =
   check (Protocol.Failed "boom \"quoted\"");
   check (Protocol.Overloaded { retry_after = 0.25 })
 
-(* ------------------------------------------------------------------ *)
-(* Function cache: serving rules                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* x1 = and(a,b), x2 = and(b,a) (equal), y1 = or(a,b) (distinct). *)
-let pair_net () =
-  let net = N.create () in
-  let a = N.add_pi net in
-  let b = N.add_pi net in
-  let x1 = N.add_gate net tt_and2 [| a; b |] in
-  let x2 = N.add_gate net tt_and2 [| b; a |] in
-  let y1 = N.add_gate net tt_or2 [| a; b |] in
-  List.iter (N.add_po net) [ x1; x2; y1 ];
-  (net, x1, x2, y1)
-
-let test_local_proof () =
-  let fc = Fun_cache.create () in
-  let net, x1, x2, _ = pair_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-   | Fun_cache.Equal -> ()
-   | _ -> Alcotest.fail "equal cones must be served locally");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "hits" 1 s.Fun_cache.hits;
-  Alcotest.(check int) "local proofs" 1 s.Fun_cache.local_proofs;
-  Alcotest.(check int) "entries" 1 s.Fun_cache.entries
-
-let test_exact_cut_cex () =
-  let fc = Fun_cache.create () in
-  let net, x1, _, y1 = pair_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net x1 y1 with
-   | Fun_cache.Counterexample vec ->
-       Alcotest.(check int) "full PI vector" (N.num_pis net) (Array.length vec);
-       Alcotest.(check bool) "distinguishes" true
-         (eval net vec x1 <> eval net vec y1)
-   | _ -> Alcotest.fail "exact-cut difference must yield a counterexample");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "local cexes" 1 s.Fun_cache.local_cexes
-
-let test_certify_never_serves_equal () =
-  let fc = Fun_cache.create () in
-  let net, x1, x2, _ = pair_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~serve_equal:false ~rng ~subst net x1 x2 with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "under certification Equal must come back as Miss"
-  in
-  Fun_cache.record fc slot
-    (Fun_cache.Proved { conflicts = 17; proof = Some [ [ 1; -2 ]; [ 2 ] ] });
-  (* outside certification the same pair is again proven locally *)
-  (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-   | Fun_cache.Equal -> ()
-   | _ -> Alcotest.fail "local proof must still serve");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "one miss, one hit" 1 s.Fun_cache.misses;
-  Alcotest.(check int) "hit" 1 s.Fun_cache.hits
-
-(* An inexact cut: with max_support=2 the frontier stays {a, b} (both
-   gates), so nothing can be proven locally and only validated stored
-   patterns may be served. *)
-let inexact_net () =
-  let net = N.create () in
-  let p0 = N.add_pi net in
-  let p1 = N.add_pi net in
-  let p2 = N.add_pi net in
-  let g = N.add_gate net tt_and2 [| p0; p1 |] in
-  let a = N.add_gate net tt_and2 [| g; p2 |] in
-  let b = N.add_gate net tt_or2 [| g; p2 |] in
-  N.add_po net a;
-  N.add_po net b;
-  (net, a, b)
-
-let test_pattern_replay () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "inexact cut with no patterns must miss"
-  in
-  (* p0=1 p1=1 p2=0: g=1, a=0, b=1 — a genuine SAT counterexample *)
-  Fun_cache.record fc slot (Fun_cache.Refuted [| true; true; false |]);
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Counterexample vec ->
-       Alcotest.(check bool) "distinguishes" true
-         (eval net vec a <> eval net vec b)
-   | _ -> Alcotest.fail "recorded pattern must replay");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "pattern hit" 1 s.Fun_cache.pattern_hits
-
-let test_invalid_pattern_not_served () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "expected a miss"
-  in
-  (* p0=p1=p2=0: a=0, b=0 — does NOT distinguish the pair. A colliding
-     entry could hold exactly this; validation must refuse to serve it. *)
-  Fun_cache.record fc slot (Fun_cache.Refuted [| false; false; false |]);
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Miss _ -> ()
-   | Fun_cache.Counterexample _ ->
-       Alcotest.fail "a non-distinguishing stored vector was served"
-   | _ -> Alcotest.fail "expected a miss");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "counted as collision" 1 s.Fun_cache.collisions
-
-(* ------------------------------------------------------------------ *)
-(* Function cache: eviction, snapshots, poison                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Fill a cache with entries for random 4-input function pairs. Exact
-   cuts make most consults insert a local-counterexample entry on their
-   own; a Miss (equal canonical keys colliding, or equal functions under
-   serve_equal:false) is filed as a SAT verdict. *)
-let fill_random fc ~pairs seed =
-  let rng = Rng.create seed in
-  for _ = 1 to pairs do
-    let net = N.create () in
-    let pis = Array.init 4 (fun _ -> N.add_pi net) in
-    let f = TT.random rng 4 and g = TT.random rng 4 in
-    let a = N.add_gate net f pis in
-    let b = N.add_gate net g pis in
-    N.add_po net a;
-    N.add_po net b;
-    let subst = identity_subst net in
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot ->
-        Fun_cache.record fc slot
-          (Fun_cache.Proved { conflicts = 100; proof = Some [ [ 1; 2; -3 ] ] })
-    | _ -> ()
-  done
-
-let test_eviction_under_bound () =
-  (* create clamps max_bytes up to 4096: a few dozen entries fit *)
-  let fc = Fun_cache.create ~max_bytes:1 () in
-  fill_random fc ~pairs:400 5;
-  let s = Fun_cache.stats fc in
-  Alcotest.(check bool) "evictions happened" true (s.Fun_cache.evictions > 0);
-  Alcotest.(check bool) "bound respected" true (s.Fun_cache.bytes <= 4096);
-  Alcotest.(check bool) "entries resident" true (s.Fun_cache.entries > 0);
-  Alcotest.(check int) "accounting" s.Fun_cache.entries
-    (s.Fun_cache.inserts - s.Fun_cache.evictions)
-
-let test_snapshot_roundtrip () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Miss slot ->
-       Fun_cache.record fc slot (Fun_cache.Refuted [| true; true; false |])
-   | _ -> Alcotest.fail "expected a miss");
-  fill_random fc ~pairs:10 7;
-  let before = Fun_cache.stats fc in
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match Fun_cache.save fc path with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "save: %s" msg);
-      let fc' = Fun_cache.create ~max_support:2 () in
-      (match Fun_cache.load fc' path with
-       | Ok n ->
-           Alcotest.(check int) "all entries restored"
-             before.Fun_cache.entries n
-       | Error msg -> Alcotest.failf "load: %s" msg);
-      let after = Fun_cache.stats fc' in
-      Alcotest.(check int) "entries" before.Fun_cache.entries
-        after.Fun_cache.entries;
-      (* the restored pattern block still replays — and still validates *)
-      match Fun_cache.consult fc' ~rng ~subst net a b with
-      | Fun_cache.Counterexample vec ->
-          Alcotest.(check bool) "distinguishes" true
-            (eval net vec a <> eval net vec b)
-      | _ -> Alcotest.fail "restored pattern must replay")
-
-let test_snapshot_corruption_dropped () =
-  let fc = Fun_cache.create () in
-  fill_random fc ~pairs:8 11;
-  Alcotest.(check bool) "filled some" true
-    ((Fun_cache.stats fc).Fun_cache.entries >= 4);
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match Fun_cache.save fc path with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "save: %s" msg);
-      (* flip one payload character of the second entry line *)
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      let corrupted =
-        List.mapi
-          (fun i line ->
-            if i = 2 && String.length line > 3 then begin
-              let b = Bytes.of_string line in
-              Bytes.set b 2 (if Bytes.get b 2 = '1' then '0' else '1');
-              Bytes.to_string b
-            end
-            else line)
-          lines
-      in
-      let oc = open_out path in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        corrupted;
-      close_out oc;
-      let fc' = Fun_cache.create () in
-      let entries = (Fun_cache.stats fc).Fun_cache.entries in
-      match Fun_cache.load fc' path with
-      | Ok n ->
-          Alcotest.(check int) "one entry lost" (entries - 1) n;
-          Alcotest.(check int) "counted as dropped" 1
-            (Fun_cache.stats fc').Fun_cache.dropped
-      | Error msg -> Alcotest.failf "load: %s" msg)
-
-let test_snapshot_bad_header () =
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a snapshot\n";
-      close_out oc;
-      let fc = Fun_cache.create () in
-      match Fun_cache.load fc path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "bad header accepted")
-
-(* ------------------------------------------------------------------ *)
-(* Function cache: crash-safe persistence                              *)
-(* ------------------------------------------------------------------ *)
-
 let rm_f path = if Sys.file_exists path then Sys.remove path
-
-(* A cache with a journal whose checkpoint thresholds are unreachable:
-   everything inserted after [enable_journal] lives only in the journal,
-   so replay is guaranteed to do real work. *)
-let with_journaled_cache f =
-  let snap = Filename.temp_file "simgen-fc" ".snap" in
-  let jpath = Filename.temp_file "simgen-fc" ".journal" in
-  Fun.protect
-    ~finally:(fun () -> List.iter rm_f [ snap; jpath ])
-    (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:3 19;
-      (match
-         Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-           ~checkpoint_entries:1_000_000 ~checkpoint_seconds:1e9 ()
-       with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "enable_journal: %s" msg);
-      Alcotest.(check bool) "journal enabled" true
-        (Fun_cache.journal_enabled fc);
-      fill_random fc ~pairs:8 23;
-      f ~snap ~jpath ~fc)
-
-let recover ~snap ~jpath =
-  let fc = Fun_cache.create () in
-  (match Fun_cache.load fc snap with
-   | Ok _ -> ()
-   | Error msg -> Alcotest.failf "load: %s" msg);
-  let replayed, corrupt = Fun_cache.replay_journal fc jpath in
-  (fc, replayed, corrupt)
-
-let test_journal_replay () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      let s = Fun_cache.stats fc in
-      Alcotest.(check bool) "insertions journaled" true
-        (s.Fun_cache.journal_appends > 0);
-      let fc', replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check bool) "journal replayed" true (replayed > 0);
-      Alcotest.(check int) "clean tail" 0 corrupt;
-      Alcotest.(check int) "entry parity" s.Fun_cache.entries
-        (Fun_cache.stats fc').Fun_cache.entries)
-
-let test_journal_torn_tail () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      let live = (Fun_cache.stats fc).Fun_cache.entries in
-      (* a torn write: half an entry, no newline, as a SIGKILL mid-append
-         would leave behind *)
-      let oc = open_out_gen [ Open_append ] 0o644 jpath in
-      output_string oc "9999 0123456789abcd";
-      close_out oc;
-      let fc1, replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check bool) "valid prefix replayed" true (replayed > 0);
-      Alcotest.(check bool) "torn tail detected" true (corrupt > 0);
-      Alcotest.(check int) "no torn entry admitted" live
-        (Fun_cache.stats fc1).Fun_cache.entries;
-      (* the bad tail was physically truncated: a second recovery over
-         the same file is clean and agrees *)
-      let fc2, replayed', corrupt' = recover ~snap ~jpath in
-      Alcotest.(check int) "tail truncated" 0 corrupt';
-      Alcotest.(check int) "same entries replayed" replayed replayed';
-      Alcotest.(check int) "stable entry count" live
-        (Fun_cache.stats fc2).Fun_cache.entries)
-
-let test_journal_checkpoint () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      (match Fun_cache.checkpoint fc with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "checkpoint: %s" msg);
-      Alcotest.(check bool) "checkpoint counted" true
-        ((Fun_cache.stats fc).Fun_cache.checkpoints > 0);
-      (* everything moved into the snapshot; the journal is empty *)
-      let fc', replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check int) "journal truncated" 0 replayed;
-      Alcotest.(check int) "clean tail" 0 corrupt;
-      Alcotest.(check int) "entry parity" (Fun_cache.stats fc).Fun_cache.entries
-        (Fun_cache.stats fc').Fun_cache.entries)
-
-let test_atomic_save_disk_full () =
-  with_faults (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:6 29;
-      let path = Filename.temp_file "simgen-fc" ".snap" in
-      Fun.protect
-        ~finally:(fun () -> List.iter rm_f [ path; path ^ ".tmp" ])
-        (fun () ->
-          (match Fun_cache.save fc path with
-           | Ok () -> ()
-           | Error msg -> Alcotest.failf "save: %s" msg);
-          let entries = (Fun_cache.stats fc).Fun_cache.entries in
-          (* grow the cache, then fail the re-save with a full disk *)
-          fill_random fc ~pairs:6 31;
-          Fault.arm ~times:1 "disk-full";
-          (match Fun_cache.save fc path with
-           | Error _ -> ()
-           | Ok () -> Alcotest.fail "injected disk-full must fail the save");
-          Alcotest.(check bool) "no tmp residue" false
-            (Sys.file_exists (path ^ ".tmp"));
-          (* the previous snapshot was never touched: it still loads whole *)
-          let fc' = Fun_cache.create () in
-          match Fun_cache.load fc' path with
-          | Ok n -> Alcotest.(check int) "old snapshot intact" entries n
-          | Error msg -> Alcotest.failf "load: %s" msg))
-
-let test_poison_dropped_never_served () =
-  with_faults (fun () ->
-      Fault.arm ~times:1 "serve-cache-poison";
-      let fc = Fun_cache.create () in
-      let net, x1, x2, _ = pair_net () in
-      let rng = Rng.create 1 in
-      let subst = identity_subst net in
-      (* first consult inserts an entry; the armed fault corrupts it
-         after its checksum was taken — the verdict is local and stays
-         correct regardless *)
-      (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-       | Fun_cache.Equal -> ()
-       | _ -> Alcotest.fail "poison must not change a verdict");
-      (* next lookup detects the corruption and drops the entry *)
-      (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-       | Fun_cache.Equal -> ()
-       | _ -> Alcotest.fail "poison must not change a verdict");
-      let s = Fun_cache.stats fc in
-      Alcotest.(check int) "poisoned entry dropped" 1 s.Fun_cache.dropped;
-      Alcotest.(check int) "reinserted" 2 s.Fun_cache.inserts)
 
 (* ------------------------------------------------------------------ *)
 (* Server.handle: in-process daemon semantics                          *)
@@ -546,7 +134,9 @@ let result_status = function
   | Protocol.Overloaded _ -> Alcotest.fail "unexpected overload answer"
 
 let test_handle_ping_stats () =
-  let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+  let server =
+    Server.create ~workers:1 ~pattern_cache:(Pattern_cache.create ()) ()
+  in
   Alcotest.(check string) "ping" "ok"
     (result_status (Server.handle server Protocol.Ping));
   match Server.handle server Protocol.Stats with
@@ -554,12 +144,14 @@ let test_handle_ping_stats () =
       let has k = List.mem_assoc k fields in
       List.iter
         (fun k -> Alcotest.(check bool) ("stats has " ^ k) true (has k))
-        [ "uptime"; "requests"; "jobs_ok"; "fun_cache" ]
+        [ "uptime"; "requests"; "jobs_ok"; "pattern_cache" ]
   | _ -> Alcotest.fail "stats must answer with a result"
 
 let test_handle_jobs_and_parity () =
   with_two_circuits (fun a b ->
-      let cached = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+      let cached =
+        Server.create ~workers:1 ~pattern_cache:(Pattern_cache.create ()) ()
+      in
       let bare = Server.create ~workers:1 () in
       let spec c1 c2 = Printf.sprintf "%s %s seed=5" c1 c2 in
       let run server args =
@@ -580,7 +172,7 @@ let test_handle_jobs_and_parity () =
 
 let test_handle_streams_events () =
   with_two_circuits (fun a _ ->
-      let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+      let server = Server.create ~workers:1 () in
       let phases = ref [] in
       let on_event j =
         match Protocol.string_member "phase" j with
@@ -598,7 +190,7 @@ let test_handle_streams_events () =
 
 let test_handle_certify_forced () =
   with_two_circuits (fun a _ ->
-      let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+      let server = Server.create ~workers:1 () in
       let phases = ref [] in
       let on_event j =
         match Protocol.string_member "phase" j with
@@ -638,31 +230,18 @@ let test_handle_lint () =
       | _ -> Alcotest.fail "lint must answer with a result")
 
 let test_shutdown_drains () =
-  let dir = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then Sys.remove dir)
-    (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:5 3;
-      let server = Server.create ~workers:1 ~fun_cache:fc ~cache_save:dir () in
-      Alcotest.(check bool) "running" false (Server.shutting_down server);
-      Alcotest.(check string) "shutdown ack" "shutting-down"
-        (result_status (Server.handle server Protocol.Shutdown));
-      Alcotest.(check bool) "draining" true (Server.shutting_down server);
-      (* jobs are refused during the drain *)
-      (match
-         Server.handle server
-           (Protocol.Job { cmd = "sweep"; args = "x"; deadline_ms = None })
-       with
-       | Protocol.Failed _ -> ()
-       | _ -> Alcotest.fail "jobs must be refused while shutting down");
-      (* the cache was snapshotted *)
-      let fc' = Fun_cache.create () in
-      match Fun_cache.load fc' dir with
-      | Ok n ->
-          Alcotest.(check int) "snapshot complete"
-            (Fun_cache.stats fc).Fun_cache.entries n
-      | Error msg -> Alcotest.failf "snapshot: %s" msg)
+  let server = Server.create ~workers:1 () in
+  Alcotest.(check bool) "running" false (Server.shutting_down server);
+  Alcotest.(check string) "shutdown ack" "shutting-down"
+    (result_status (Server.handle server Protocol.Shutdown));
+  Alcotest.(check bool) "draining" true (Server.shutting_down server);
+  (* jobs are refused during the drain *)
+  match
+    Server.handle server
+      (Protocol.Job { cmd = "sweep"; args = "x"; deadline_ms = None })
+  with
+  | Protocol.Failed _ -> ()
+  | _ -> Alcotest.fail "jobs must be refused while shutting down"
 
 (* ------------------------------------------------------------------ *)
 (* Client hardening and the socket daemon under load                   *)
@@ -748,44 +327,77 @@ let test_client_overload_retry () =
       | Error e ->
           Alcotest.failf "retry did not recover: %s" (Client.error_to_string e))
 
+(* Serve on [sock] from a new domain; returns once a ping is answered. *)
+let start_daemon server sock =
+  let d = Shared.spawn (fun () -> Server.serve server ~socket:sock) in
+  let rec await n =
+    if n = 0 then Alcotest.fail "daemon did not come up";
+    match
+      Client.call ~socket:sock ~connect_timeout:1.0 ~read_timeout:5.0
+        ~retry:Retry_policy.none Protocol.Ping
+    with
+    | Ok _ -> ()
+    | Error
+        (Client.Timeout _ | Client.Overloaded _ | Client.Dropped _
+        | Client.Remote _) ->
+        Unix.sleepf 0.05;
+        await (n - 1)
+  in
+  await 100;
+  d
+
+(* A client that sends one byte more than the line cap and no newline
+   gets an error frame and a closed socket; the daemon keeps serving
+   everyone else. *)
+let test_line_cap () =
+  let sock = temp_socket () in
+  Fun.protect
+    ~finally:(fun () -> rm_f sock)
+    (fun () ->
+      let server = Server.create ~workers:1 () in
+      let d = start_daemon server sock in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      (* fail rather than hang if the daemon never answers *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let line = String.make ((1 lsl 20) + 1) 'x' in
+      let rec send off =
+        if off < String.length line then
+          send (off + Unix.write_substring fd line off (String.length line - off))
+      in
+      send 0;
+      let ic = Unix.in_channel_of_descr fd in
+      (match Protocol.frame_of_line (input_line ic) with
+       | Ok (_, Protocol.Failed _) -> ()
+       | Ok _ -> Alcotest.fail "an oversized line must get an error frame"
+       | Error msg -> Alcotest.failf "bad frame: %s" msg);
+      (match input_line ic with
+       | exception End_of_file -> ()
+       | l -> Alcotest.failf "socket still open, read %S" l);
+      Unix.close fd;
+      (match
+         Client.call ~socket:sock ~connect_timeout:1.0 ~read_timeout:5.0
+           ~retry:Retry_policy.none Protocol.Ping
+       with
+       | Ok _ -> ()
+       | Error e ->
+           Alcotest.failf "second client not served: %s"
+             (Client.error_to_string e));
+      Server.request_shutdown server;
+      Shared.join d)
+
 (* The drain contract, end to end over a real socket: pin the single
    worker with a slow job, fill the queue past [max_queue], then request
    shutdown. Every admitted job must be answered (the overflow one with
-   [Overloaded], the expired one as shed), telemetry must survive, and
-   the snapshot+journal pair on disk must reload to the live cache. *)
+   [Overloaded], the expired one as shed) and telemetry must survive. *)
 let test_drain_under_load () =
   with_two_circuits (fun a _ ->
       let sock = temp_socket () in
-      let snap = Filename.temp_file "simgen-fc" ".snap" in
-      let jpath = snap ^ ".journal" in
       Fun.protect
-        ~finally:(fun () -> List.iter rm_f [ sock; snap; jpath ])
+        ~finally:(fun () -> rm_f sock)
         (fun () ->
-          let fc = Fun_cache.create () in
-          (match
-             Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-               ~checkpoint_entries:1_000_000 ~checkpoint_seconds:1e9 ()
-           with
-           | Ok () -> ()
-           | Error msg -> Alcotest.failf "enable_journal: %s" msg);
-          let server =
-            Server.create ~workers:1 ~max_queue:4 ~fun_cache:fc
-              ~cache_save:snap ()
-          in
-          let d = Shared.spawn (fun () -> Server.serve server ~socket:sock) in
-          let rec await n =
-            if n = 0 then Alcotest.fail "daemon did not come up";
-            match
-              Client.call ~socket:sock ~connect_timeout:1.0 ~read_timeout:5.0
-                ~retry:Retry_policy.none Protocol.Ping
-            with
-            | Ok _ -> ()
-            | Error (Client.Timeout _ | Client.Overloaded _ | Client.Dropped _
-                    | Client.Remote _) ->
-                Unix.sleepf 0.05;
-                await (n - 1)
-          in
-          await 100;
+          let server = Server.create ~workers:1 ~max_queue:4 () in
+          let d = start_daemon server sock in
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX sock);
           let send id req =
@@ -864,14 +476,7 @@ let test_drain_under_load () =
                  (counter "deadline_expired" >= 1);
                Alcotest.(check int) "queue drained" 0 (counter "queue_depth")
            | Protocol.Failed _ | Protocol.Event _ | Protocol.Overloaded _ ->
-               Alcotest.fail "stats must answer");
-          (* the checkpoint left a snapshot+journal pair that reloads to
-             exactly the live resident set *)
-          let live = (Fun_cache.stats fc).Fun_cache.entries in
-          let fc', _replayed, corrupt = recover ~snap ~jpath in
-          Alcotest.(check int) "clean journal tail" 0 corrupt;
-          Alcotest.(check int) "recovered entry parity" live
-            (Fun_cache.stats fc').Fun_cache.entries))
+               Alcotest.fail "stats must answer")))
 
 let () =
   Alcotest.run "simgen-serve"
@@ -884,33 +489,6 @@ let () =
           Alcotest.test_case "request rejects" `Quick test_request_rejects;
           Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
         ] );
-      ( "fun-cache",
-        [
-          Alcotest.test_case "local proof" `Quick test_local_proof;
-          Alcotest.test_case "exact-cut cex" `Quick test_exact_cut_cex;
-          Alcotest.test_case "certify never serves equal" `Quick
-            test_certify_never_serves_equal;
-          Alcotest.test_case "pattern replay" `Quick test_pattern_replay;
-          Alcotest.test_case "invalid pattern not served" `Quick
-            test_invalid_pattern_not_served;
-          Alcotest.test_case "eviction under bound" `Quick
-            test_eviction_under_bound;
-          Alcotest.test_case "snapshot roundtrip" `Quick
-            test_snapshot_roundtrip;
-          Alcotest.test_case "snapshot corruption dropped" `Quick
-            test_snapshot_corruption_dropped;
-          Alcotest.test_case "snapshot bad header" `Quick
-            test_snapshot_bad_header;
-          Alcotest.test_case "poison dropped, never served" `Quick
-            test_poison_dropped_never_served;
-          Alcotest.test_case "journal replay" `Quick test_journal_replay;
-          Alcotest.test_case "journal torn tail truncated" `Quick
-            test_journal_torn_tail;
-          Alcotest.test_case "journal checkpoint" `Quick
-            test_journal_checkpoint;
-          Alcotest.test_case "atomic save under disk-full" `Quick
-            test_atomic_save_disk_full;
-        ] );
       ( "server",
         [
           Alcotest.test_case "ping and stats" `Quick test_handle_ping_stats;
@@ -921,14 +499,14 @@ let () =
           Alcotest.test_case "certify forced" `Quick test_handle_certify_forced;
           Alcotest.test_case "request errors" `Quick test_handle_errors;
           Alcotest.test_case "lint" `Quick test_handle_lint;
-          Alcotest.test_case "shutdown drains and snapshots" `Quick
-            test_shutdown_drains;
+          Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "client timeout" `Quick test_client_timeout;
           Alcotest.test_case "client retries overload" `Quick
             test_client_overload_retry;
+          Alcotest.test_case "line cap" `Quick test_line_cap;
           Alcotest.test_case "drain under load" `Slow test_drain_under_load;
         ] );
     ]
