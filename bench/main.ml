@@ -18,25 +18,11 @@ module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
 module Strategy = Simgen_core.Strategy
 module Config = Simgen_core.Config
-module Stack = Simgen_network.Stack_networks
 module N = Simgen_network.Network
+module Json = Simgen_base.Json
+module Certificate = Simgen_check.Certificate
 
-let seed = 7
-
-(* Local shorthand for the one options record every entry point takes:
-   most experiments only vary the strategy, iteration count or a single
-   flag off the defaults. *)
-let opts_with ?(seed = seed) ?(strategy = Strategy.AI_DC_MFFC)
-    ?(iterations = 20) ?(one_distance = false)
-    ?(outgold = Sweep_options.default.Sweep_options.outgold) () =
-  {
-    Sweep_options.default with
-    Sweep_options.seed;
-    strategy;
-    guided_iterations = iterations;
-    one_distance;
-    outgold;
-  }
+let seed = Runs.seed
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -58,11 +44,13 @@ let table1 () =
       let averaged strategy =
         let rs =
           List.map
-            (fun seed -> Runs.run ~seed ~with_sat:false ~bench net strategy)
+            (fun seed ->
+              Runs.flow ~with_sat:false (Runs.opts ~seed ~strategy ()) net)
             table1_seeds
         in
         ( Runs.mean (List.map (fun r -> float_of_int r.Runs.cost) rs),
-          Runs.mean (List.map (fun r -> r.Runs.sim_time) rs) )
+          Runs.mean (List.map (fun r -> r.Runs.guided.Sweeper.guided_time) rs)
+        )
       in
       let base_cost, base_time = averaged Strategy.RevS in
       List.iter
@@ -103,9 +91,14 @@ let table1 () =
 (* Table 2 (upper): SAT calls and SAT time per benchmark               *)
 (* ------------------------------------------------------------------ *)
 
-let rows_cache :
-    (string, (string * Runs.result * Runs.result) list) Hashtbl.t =
+let rows_cache : (string, (string * Runs.flow * Runs.flow) list) Hashtbl.t =
   Hashtbl.create 4
+
+(* RevS and SimGen flows of one network, the pair every table row and
+   figure ratio compares. *)
+let revs_vs_simgen net =
+  ( Runs.flow (Runs.opts ~strategy:Strategy.RevS ()) net,
+    Runs.flow (Runs.opts ()) net )
 
 let table2_rows ~cache_key benches net_of =
   match Hashtbl.find_opt rows_cache cache_key with
@@ -114,9 +107,7 @@ let table2_rows ~cache_key benches net_of =
       let rows =
         List.map
           (fun bench ->
-            let net = net_of bench in
-            let revs = Runs.run ~seed ~bench net Strategy.RevS in
-            let sgen = Runs.run ~seed ~bench net Strategy.AI_DC_MFFC in
+            let revs, sgen = revs_vs_simgen (net_of bench) in
             (bench, revs, sgen))
           benches
       in
@@ -131,14 +122,15 @@ let print_table2 rows ~time_unit =
   let tc_r = ref 0 and tc_s = ref 0 and tt_r = ref 0.0 and tt_s = ref 0.0 in
   List.iter
     (fun (bench, revs, sgen) ->
-      tc_r := !tc_r + revs.Runs.sat_calls;
-      tc_s := !tc_s + sgen.Runs.sat_calls;
-      tt_r := !tt_r +. revs.Runs.sat_time;
-      tt_s := !tt_s +. sgen.Runs.sat_time;
+      let revs = revs.Runs.sat and sgen = sgen.Runs.sat in
+      tc_r := !tc_r + revs.Sweeper.calls;
+      tc_s := !tc_s + sgen.Sweeper.calls;
+      tt_r := !tt_r +. revs.Sweeper.sat_time;
+      tt_s := !tt_s +. sgen.Sweeper.sat_time;
       Printf.printf "%-12s %10d %10d %12.2f %12.2f\n" bench
-        revs.Runs.sat_calls sgen.Runs.sat_calls
-        (revs.Runs.sat_time *. scale)
-        (sgen.Runs.sat_time *. scale))
+        revs.Sweeper.calls sgen.Sweeper.calls
+        (revs.Sweeper.sat_time *. scale)
+        (sgen.Sweeper.sat_time *. scale))
     rows;
   Printf.printf "%-12s %10d %10d %12.2f %12.2f   (totals)\n" "TOTAL" !tc_r
     !tc_s (!tt_r *. scale) (!tt_s *. scale)
@@ -164,11 +156,10 @@ let stacked_rows () =
       let rows =
         List.map
           (fun (bench, copies) ->
-            let net = Suite.stacked_lut_network bench in
-            let label = Printf.sprintf "%s (%d)" bench copies in
-            let revs = Runs.run ~seed ~bench:label net Strategy.RevS in
-            let sgen = Runs.run ~seed ~bench:label net Strategy.AI_DC_MFFC in
-            (label, revs, sgen))
+            let revs, sgen =
+              revs_vs_simgen (Suite.stacked_lut_network bench)
+            in
+            (Printf.sprintf "%s (%d)" bench copies, revs, sgen))
           (Runs.stacked_benchmarks ())
       in
       Hashtbl.replace rows_cache "stacked" rows;
@@ -189,12 +180,12 @@ let table2_stacked () =
 let figure_rows rows =
   List.map
     (fun (bench, revs, sgen) ->
-      let r v b = Runs.ratio v b in
+      let r f = Runs.ratio (f sgen) (f revs) in
       ( bench,
-        r (float_of_int sgen.Runs.cost) (float_of_int revs.Runs.cost),
-        r sgen.Runs.sim_time revs.Runs.sim_time,
-        r (float_of_int sgen.Runs.sat_calls) (float_of_int revs.Runs.sat_calls),
-        r sgen.Runs.sat_time revs.Runs.sat_time ))
+        r (fun x -> float_of_int x.Runs.cost),
+        r (fun x -> x.Runs.guided.Sweeper.guided_time),
+        r (fun x -> float_of_int x.Runs.sat.Sweeper.calls),
+        r (fun x -> x.Runs.sat.Sweeper.sat_time) ))
     rows
 
 let spark v =
@@ -241,7 +232,7 @@ let fig7_trace net mode ~iterations =
   (* RandS until the cost stalls for 3 consecutive iterations, then switch
      to the guided strategy (if any). Returns (cost, cumulative seconds)
      per iteration. *)
-  let sw = Sweeper.create (opts_with ()) net in
+  let sw = Sweeper.create (Runs.opts ()) net in
   let t0 = Unix.gettimeofday () in
   let trace = ref [] in
   let stall = ref 0 in
@@ -296,7 +287,7 @@ let ablation () =
       List.iter
         (fun bench ->
           let net = Suite.lut_network bench in
-          let sw = Sweeper.create (opts_with ()) net in
+          let sw = Sweeper.create (Runs.opts ()) net in
           Sweeper.random_round sw;
           let config = { Config.default with Config.alpha; beta } in
           for _ = 1 to 20 do
@@ -320,10 +311,12 @@ let ablation () =
       List.iter
         (fun bench ->
           let net = Suite.lut_network bench in
-          let r = Runs.run ~seed ~with_sat:false ~bench net strategy in
-          impl := !impl + r.Runs.implications;
-          dec := !dec + r.Runs.decisions;
-          conf := !conf + r.Runs.gen_conflicts)
+          let g =
+            (Runs.flow ~with_sat:false (Runs.opts ~strategy ()) net).Runs.guided
+          in
+          impl := !impl + g.Sweeper.implications;
+          dec := !dec + g.Sweeper.decisions;
+          conf := !conf + g.Sweeper.gen_conflicts)
         benches;
       Printf.printf "%-11s %12d %12d %12d\n" (Strategy.name strategy) !impl
         !dec !conf)
@@ -345,18 +338,18 @@ let baselines () =
     (fun bench ->
       let net = Suite.lut_network bench in
       let flow label guide =
-        let sw = Sweeper.create (opts_with ()) net in
+        let sw = Sweeper.create (Runs.opts ()) net in
         Sweeper.random_round sw;
         let g = guide sw in
         let cost_after_guided = Sweeper.cost sw in
-        let s = Sweeper.sat_sweep (opts_with ()) sw in
+        let s = Sweeper.sat_sweep (Runs.opts ()) sw in
         Printf.printf "%-8s %-14s %8d %10d %9.3fs %10d\n" bench label
           cost_after_guided g.Sweeper.gen_sat_calls g.Sweeper.guided_time
           s.Sweeper.calls
       in
-      flow "RevS" (Sweeper.run_guided (opts_with ~strategy:Strategy.RevS ()));
-      flow "SimGen" (Sweeper.run_guided (opts_with ()));
-      flow "SAT vectors" (Sweeper.run_sat_guided (opts_with ())))
+      flow "RevS" (Sweeper.run_guided (Runs.opts ~strategy:Strategy.RevS ()));
+      flow "SimGen" (Sweeper.run_guided (Runs.opts ()));
+      flow "SAT vectors" (Sweeper.run_sat_guided (Runs.opts ())))
     benches;
   Printf.printf
     "\n(the SAT-vector generator is exact, so its post-simulation cost is \
@@ -368,11 +361,8 @@ let baselines () =
     (fun bench ->
       let net = Suite.lut_network bench in
       let flow label one_distance =
-        let opts = opts_with ~iterations:5 ~one_distance () in
-        let sw = Sweeper.create opts net in
-        Sweeper.random_round sw;
-        ignore (Sweeper.run_guided opts sw);
-        let s = Sweeper.sat_sweep opts sw in
+        let opts = Runs.opts ~iterations:5 ~one_distance () in
+        let s = (Runs.flow opts net).Runs.sat in
         Printf.printf "%-8s %-16s %10d %10d\n" bench label s.Sweeper.calls
           s.Sweeper.disproved
       in
@@ -385,11 +375,7 @@ let baselines () =
     (fun bench ->
       let net = Suite.lut_network bench in
       let cost_with outgold =
-        let opts = opts_with ~outgold () in
-        let sw = Sweeper.create opts net in
-        Sweeper.random_round sw;
-        ignore (Sweeper.run_guided opts sw);
-        Sweeper.cost sw
+        (Runs.flow ~with_sat:false (Runs.opts ~outgold ()) net).Runs.cost
       in
       Printf.printf "%-8s %12d %12d %12d\n" bench
         (cost_with Simgen_core.Outgold.Alternating)
@@ -400,29 +386,6 @@ let baselines () =
 (* ------------------------------------------------------------------ *)
 (* Incremental SAT sessions: fresh-per-pair vs one persistent solver   *)
 (* ------------------------------------------------------------------ *)
-
-(* One full sweep flow (random round + guided rounds + SAT sweep) with
-   the miter route fixed by [incremental]. Returns the sweep stats and
-   the final merge partition (each gate's representative), which must be
-   identical across routes: refinement only separates inequivalent nodes,
-   so the final partition is path-independent. *)
-let session_flow ~incremental ~guided_iterations net =
-  let opts =
-    {
-      Sweep_options.default with
-      Sweep_options.seed;
-      guided_iterations;
-      incremental;
-    }
-  in
-  let sw = Sweeper.create opts net in
-  Sweeper.random_round sw;
-  ignore (Sweeper.run_guided opts sw);
-  let s = Sweeper.sat_sweep opts sw in
-  let partition = ref [] in
-  N.iter_gates net (fun id ->
-      partition := Sweeper.representative sw id :: !partition);
-  (s, List.rev !partition)
 
 (* The gate the incremental session must clear on every suite: no slower
    than fresh solving on wall time, and no more than 1.5x the fresh
@@ -438,16 +401,18 @@ let sat_session_compare ~benches ~net_of ~guided_iterations ~out_file title =
     List.map
       (fun bench ->
         let net = net_of bench in
-        let fresh, part_f =
-          session_flow ~incremental:false ~guided_iterations net
+        let route incremental =
+          Runs.flow
+            { (Runs.opts ~iterations:guided_iterations ()) with
+              Sweep_options.incremental }
+            net
         in
-        let inc, part_i =
-          session_flow ~incremental:true ~guided_iterations net
-        in
+        let fresh = route false and inc = route true in
         (* Verdicts are route-independent, so both routes end at the exact
            functional-equivalence partition; the counter-example sequences
            (and hence call counts) may differ along the way. *)
-        let same = part_f = part_i in
+        let same = fresh.Runs.partition = inc.Runs.partition in
+        let fresh = fresh.Runs.sat and inc = inc.Runs.sat in
         let gate =
           inc.Sweeper.sat_time <= fresh.Sweeper.sat_time
           && float_of_int inc.Sweeper.propagations
@@ -486,50 +451,50 @@ let sat_session_compare ~benches ~net_of ~guided_iterations ~out_file title =
     t_fresh_confl t_inc_confl t_fresh_props t_inc_props t_inc_deleted
     (if all_same then "identical" else "DIFFER")
     (if all_gated then "passed" else "FAILED");
-  (* Hand-rolled JSON (the container has no JSON library), one object per
-     bench plus totals; schema mirrors the console table. *)
-  let buf = Buffer.create 1024 in
-  let stats_json (s : Sweeper.sat_stats) =
-    Printf.sprintf
-      "{\"calls\":%d,\"proved\":%d,\"disproved\":%d,\"conflicts\":%d,\"propagations\":%d,\"restarts\":%d,\"deleted\":%d,\"sat_time\":%.6f}"
-      s.Sweeper.calls s.Sweeper.proved s.Sweeper.disproved s.Sweeper.conflicts
-      s.Sweeper.propagations s.Sweeper.restarts s.Sweeper.deleted
-      s.Sweeper.sat_time
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"sat-session\",\"seed\":%d,\"guided_iterations\":%d,\"props_slack\":%.2f,\"benches\":["
-       seed guided_iterations props_slack);
-  List.iteri
-    (fun i (bench, fresh, inc, same, gate) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"bench\":\"%s\",\"fresh\":%s,\"incremental\":%s,\"identical_merges\":%b,\"gate\":%b}"
-           bench (stats_json fresh) (stats_json inc) same gate))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"total\":{\"fresh_conflicts\":%d,\"incremental_conflicts\":%d,\"fresh_propagations\":%d,\"incremental_propagations\":%d,\"incremental_deleted\":%d,\"identical_merges\":%b,\"gate\":%b}}"
-       t_fresh_confl t_inc_confl t_fresh_props t_inc_props t_inc_deleted
-       all_same all_gated);
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out_file;
-  if not all_same then begin
-    Printf.eprintf
-      "sat-session: merge results differ between fresh and incremental\n";
-    exit 1
-  end;
-  if not all_gated then begin
-    Printf.eprintf
-      "sat-session: incremental route exceeded the perf gate (sat_time <= \
-       fresh and propagations <= %.1fx fresh)\n"
-      props_slack;
-    exit 1
-  end
+  (* One object per bench plus totals; the schema mirrors the console
+     table. *)
+  Runs.report ~out_file
+    (Obj
+       [
+         ("experiment", String "sat-session");
+         ("seed", Int seed);
+         ("guided_iterations", Int guided_iterations);
+         ("props_slack", Float props_slack);
+         ( "benches",
+           List
+             (List.map
+                (fun (bench, fresh, inc, same, gate) ->
+                  Json.Obj
+                    [
+                      ("bench", String bench);
+                      ("fresh", Runs.sat_json fresh);
+                      ("incremental", Runs.sat_json inc);
+                      ("identical_merges", Bool same);
+                      ("gate", Bool gate);
+                    ])
+                rows) );
+         ( "total",
+           Obj
+             [
+               ("fresh_conflicts", Int t_fresh_confl);
+               ("incremental_conflicts", Int t_inc_confl);
+               ("fresh_propagations", Int t_fresh_props);
+               ("incremental_propagations", Int t_inc_props);
+               ("incremental_deleted", Int t_inc_deleted);
+               ("identical_merges", Bool all_same);
+               ("gate", Bool all_gated);
+             ] );
+       ])
+    ~failures:
+      [
+        ( not all_same,
+          "sat-session: merge results differ between fresh and incremental" );
+        ( not all_gated,
+          Printf.sprintf
+            "sat-session: incremental route exceeded the perf gate (sat_time \
+             <= fresh and propagations <= %.1fx fresh)"
+            props_slack );
+      ]
 
 let sat_session () =
   (* A representative slice of the stacked suite — one bench per size
@@ -555,34 +520,9 @@ let sat_session_smoke () =
 (* Certification overhead: certified session sweep + independent check *)
 (* ------------------------------------------------------------------ *)
 
-(* One full certified-or-not sweep flow; wall time covers the whole flow
-   (simulation + SAT) plus, on the certified side, assembling and
-   independently re-checking the certificate — the honest end-to-end
-   price of not trusting the solver. *)
-let cert_flow ~certify ~guided_iterations net =
-  let opts =
-    {
-      Sweep_options.default with
-      Sweep_options.seed;
-      guided_iterations;
-      certify;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let sw = Sweeper.create opts net in
-  Sweeper.random_round sw;
-  ignore (Sweeper.run_guided opts sw);
-  let s = Sweeper.sat_sweep opts sw in
-  let report =
-    if certify then Some (Simgen_check.Certificate.check (Sweeper.certificate sw))
-    else None
-  in
-  let time = Unix.gettimeofday () -. t0 in
-  let partition = ref [] in
-  N.iter_gates net (fun id ->
-      partition := Sweeper.representative sw id :: !partition);
-  (s, report, time, List.rev !partition)
-
+(* Certified vs plain flows of one network; wall time covers the whole
+   flow, and on the certified side the independent certificate check
+   (see [Runs.flow]). *)
 let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
   header title;
   Printf.printf "%-14s %9s | %8s | %8s %9s %9s %7s | %8s %5s %5s\n" "bench"
@@ -592,39 +532,38 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
     List.map
       (fun bench ->
         let net = net_of bench in
-        let plain, _, t_plain, part_p =
-          cert_flow ~certify:false ~guided_iterations net
+        let run certify =
+          Runs.flow
+            { (Runs.opts ~iterations:guided_iterations ()) with
+              Sweep_options.certify }
+            net
         in
-        let cert, report, t_cert, part_c =
-          cert_flow ~certify:true ~guided_iterations net
-        in
-        let report = Option.get report in
-        let same = part_p = part_c in
+        let plain = run false and cert = run true in
+        let report = Option.get cert.Runs.cert in
+        let same = plain.Runs.partition = cert.Runs.partition in
+        let t_plain = plain.Runs.wall and t_cert = cert.Runs.wall in
         let overhead = if t_plain > 0.0 then t_cert /. t_plain else 1.0 in
         Printf.printf
           "%-14s %9d | %7.3fs | %7.3fs %9d %9d %7d | %7.2fx %5s %5s\n" bench
-          cert.Sweeper.calls t_plain t_cert
-          report.Simgen_check.Certificate.queries
-          report.Simgen_check.Certificate.steps
-          report.Simgen_check.Certificate.steps_checked overhead
-          (if report.Simgen_check.Certificate.valid then "yes" else "NO")
+          cert.Runs.sat.Sweeper.calls t_plain t_cert
+          report.Certificate.queries report.Certificate.steps
+          report.Certificate.steps_checked overhead
+          (if report.Certificate.valid then "yes" else "NO")
           (if same then "yes" else "NO");
-        (bench, plain, cert, report, t_plain, t_cert, overhead, same))
+        (bench, cert.Runs.sat, report, t_plain, t_cert, overhead, same))
       benches
   in
   let t_plain_total =
-    List.fold_left (fun acc (_, _, _, _, tp, _, _, _) -> acc +. tp) 0.0 rows
+    List.fold_left (fun acc (_, _, _, tp, _, _, _) -> acc +. tp) 0.0 rows
   and t_cert_total =
-    List.fold_left (fun acc (_, _, _, _, _, tc, _, _) -> acc +. tc) 0.0 rows
+    List.fold_left (fun acc (_, _, _, _, tc, _, _) -> acc +. tc) 0.0 rows
   in
   let total_overhead =
     if t_plain_total > 0.0 then t_cert_total /. t_plain_total else 1.0
   in
-  let all_same = List.for_all (fun (_, _, _, _, _, _, _, s) -> s) rows in
+  let all_same = List.for_all (fun (_, _, _, _, _, _, s) -> s) rows in
   let all_valid =
-    List.for_all
-      (fun (_, _, _, r, _, _, _, _) -> r.Simgen_check.Certificate.valid)
-      rows
+    List.for_all (fun (_, _, r, _, _, _, _) -> r.Certificate.valid) rows
   in
   let within_2x = total_overhead <= 2.0 in
   Printf.printf
@@ -634,42 +573,49 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
     (if within_2x then "within 2x" else "OVER 2x")
     (if all_valid then "all valid" else "INVALID")
     (if all_same then "identical" else "DIFFER");
-  (* Hand-rolled JSON, same convention as the sat-session experiment. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"cert\",\"seed\":%d,\"guided_iterations\":%d,\"benches\":["
-       seed guided_iterations);
-  List.iteri
-    (fun i (bench, plain, cert, report, tp, tc, overhead, same) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"bench\":\"%s\",\"calls\":%d,\"proved\":%d,\"plain_time\":%.6f,\"certified_time\":%.6f,\"overhead\":%.4f,\"queries\":%d,\"proof_steps\":%d,\"steps_checked\":%d,\"steps_trimmed\":%d,\"certificate_valid\":%b,\"identical_merges\":%b}"
-           bench cert.Sweeper.calls cert.Sweeper.proved tp tc overhead
-           report.Simgen_check.Certificate.queries
-           report.Simgen_check.Certificate.steps
-           report.Simgen_check.Certificate.steps_checked
-           report.Simgen_check.Certificate.steps_trimmed
-           report.Simgen_check.Certificate.valid same);
-      ignore plain)
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"total\":{\"plain_time\":%.6f,\"certified_time\":%.6f,\"overhead\":%.4f,\"within_2x\":%b,\"all_valid\":%b,\"identical_merges\":%b}}"
-       t_plain_total t_cert_total total_overhead within_2x all_valid all_same);
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out_file;
-  if not (all_same && all_valid) then begin
-    Printf.eprintf
-      "cert: %s\n"
-      (if not all_valid then "a certificate failed its independent check"
-       else "merge results differ between plain and certified sweeps");
-    exit 1
-  end
+  Runs.report ~out_file
+    (Obj
+       [
+         ("experiment", String "cert");
+         ("seed", Int seed);
+         ("guided_iterations", Int guided_iterations);
+         ( "benches",
+           List
+             (List.map
+                (fun (bench, s, r, tp, tc, overhead, same) ->
+                  Json.Obj
+                    [
+                      ("bench", String bench);
+                      ("calls", Int s.Sweeper.calls);
+                      ("proved", Int s.Sweeper.proved);
+                      ("plain_time", Float tp);
+                      ("certified_time", Float tc);
+                      ("overhead", Float overhead);
+                      ("queries", Int r.Certificate.queries);
+                      ("proof_steps", Int r.steps);
+                      ("steps_checked", Int r.steps_checked);
+                      ("steps_trimmed", Int r.steps_trimmed);
+                      ("certificate_valid", Bool r.valid);
+                      ("identical_merges", Bool same);
+                    ])
+                rows) );
+         ( "total",
+           Obj
+             [
+               ("plain_time", Float t_plain_total);
+               ("certified_time", Float t_cert_total);
+               ("overhead", Float total_overhead);
+               ("within_2x", Bool within_2x);
+               ("all_valid", Bool all_valid);
+               ("identical_merges", Bool all_same);
+             ] );
+       ])
+    ~failures:
+      [
+        (not all_valid, "cert: a certificate failed its independent check");
+        ( not all_same,
+          "cert: merge results differ between plain and certified sweeps" );
+      ]
 
 let cert () =
   cert_compare
@@ -806,20 +752,10 @@ let race () =
     Shared.reset_trace ();
     (report.R.Pool.wall_time, trace)
   in
-  let series name ~armed =
-    let runs = List.init reps (fun _ -> run_once ~armed ()) in
-    let best =
-      List.fold_left (fun acc (t, _) -> min acc t) infinity runs
-    in
-    Printf.printf "%-10s min %7.3fs  (reps:%s)\n%!" name best
-      (String.concat ""
-         (List.map (fun (t, _) -> Printf.sprintf " %.3fs" t) runs));
-    (best, List.filter_map snd runs)
-  in
-  let baseline, _ = series "baseline" ~armed:false in
-  let disarmed, _ = series "disarmed" ~armed:false in
-  let armed, traces = series "armed" ~armed:true in
-  let trace = List.nth traces 0 in
+  let baseline, _ = Runs.series ~reps "baseline" (run_once ~armed:false) in
+  let disarmed, _ = Runs.series ~reps "disarmed" (run_once ~armed:false) in
+  let armed, traces = Runs.series ~reps "armed" (run_once ~armed:true) in
+  let trace = Option.get (List.hd traces) in
   let events = List.length trace.Shared.events in
   let diags =
     List.filter
@@ -844,21 +780,31 @@ let race () =
     (if armed_ok then "ok" else "OVER")
     events (List.length diags)
     (if race_clean then "clean" else "RACES");
-  let oc = open_out "BENCH_RACE.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"race\",\"seed\":%d,\"workers\":%d,\"jobs\":%d,\"reps\":%d,\"baseline_time\":%.6f,\"disarmed_time\":%.6f,\"armed_time\":%.6f,\"disarmed_overhead\":%.4f,\"armed_overhead\":%.4f,\"events\":%d,\"race_diagnostics\":%d,\"disarmed_within_1_05x\":%b,\"armed_within_3x\":%b,\"race_clean\":%b}\n"
-    seed workers
-    (List.length (specs ()))
-    reps baseline disarmed armed disarmed_overhead armed_overhead events
-    (List.length diags) disarmed_ok armed_ok race_clean;
-  close_out oc;
-  Printf.printf "wrote BENCH_RACE.json\n";
-  if not (disarmed_ok && armed_ok && race_clean) then begin
-    Printf.eprintf "race: %s\n"
-      (if not race_clean then "the armed run found data races"
-       else "sanitizer overhead gate breached");
-    exit 1
-  end
+  Runs.report ~out_file:"BENCH_RACE.json"
+    (Obj
+       [
+         ("experiment", String "race");
+         ("seed", Int seed);
+         ("workers", Int workers);
+         ("jobs", Int (List.length (specs ())));
+         ("reps", Int reps);
+         ("baseline_time", Float baseline);
+         ("disarmed_time", Float disarmed);
+         ("armed_time", Float armed);
+         ("disarmed_overhead", Float disarmed_overhead);
+         ("armed_overhead", Float armed_overhead);
+         ("events", Int events);
+         ("race_diagnostics", Int (List.length diags));
+         ("disarmed_within_1_05x", Bool disarmed_ok);
+         ("armed_within_3x", Bool armed_ok);
+         ("race_clean", Bool race_clean);
+       ])
+    ~failures:
+      [
+        (not race_clean, "race: the armed run found data races");
+        ( not (disarmed_ok && armed_ok),
+          "race: sanitizer overhead gate breached" );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver-audit: solver-state sanitizer overhead on stacked sweeps     *)
@@ -878,36 +824,16 @@ let solver_audit () =
     "Solver-audit: solver-state sanitizer overhead on the stacked smoke \
      subset (min of 3 reps per series)";
   let benches = [ "apex2"; "square" ] and reps = 3 in
-  let flow ~audit bench =
-    let opts =
-      {
-        Sweep_options.default with
-        Sweep_options.seed;
-        guided_iterations = 10;
-        solver_audit = audit;
-      }
-    in
-    let net = Suite.stacked_lut_network bench in
-    let t0 = Unix.gettimeofday () in
-    let sw = Sweeper.create opts net in
-    Sweeper.random_round sw;
-    ignore (Sweeper.run_guided opts sw);
-    let s = Sweeper.sat_sweep opts sw in
-    let t = Unix.gettimeofday () -. t0 in
-    let partition = ref [] in
-    N.iter_gates net (fun id ->
-        partition := Sweeper.representative sw id :: !partition);
-    (t, s, List.rev !partition)
-  in
+  let nets = List.map Suite.stacked_lut_network benches in
   let series name ~audit =
-    let passes =
-      List.init reps (fun _ -> List.map (flow ~audit) benches)
+    let opts =
+      { (Runs.opts ~iterations:10 ()) with Sweep_options.solver_audit = audit }
     in
-    let time pass = List.fold_left (fun a (t, _, _) -> a +. t) 0.0 pass in
-    let best = List.fold_left (fun acc p -> min acc (time p)) infinity passes in
-    Printf.printf "%-10s min %7.3fs  (reps:%s)\n%!" name best
-      (String.concat ""
-         (List.map (fun p -> Printf.sprintf " %.3fs" (time p)) passes));
+    let best, passes =
+      Runs.series ~reps name (fun () ->
+          let pass = List.map (Runs.flow opts) nets in
+          (List.fold_left (fun a f -> a +. f.Runs.wall) 0.0 pass, pass))
+    in
     (* Partitions and stats from the first rep: the flow is deterministic
        for a fixed seed, so reps only differ in wall time. *)
     (best, List.hd passes)
@@ -915,10 +841,10 @@ let solver_audit () =
   let baseline, rows_b = series "baseline" ~audit:false in
   let disarmed, _ = series "disarmed" ~audit:false in
   let sampled, rows_s = series "sampled" ~audit:true in
-  let part (_, _, p) = p in
+  let part f = f.Runs.partition in
   let same = List.map part rows_b = List.map part rows_s in
   let conflicts rows =
-    List.fold_left (fun a (_, s, _) -> a + s.Sweeper.conflicts) 0 rows
+    List.fold_left (fun a f -> a + f.Runs.sat.Sweeper.conflicts) 0 rows
   in
   let disarmed_overhead = disarmed /. baseline in
   let sampled_overhead = sampled /. baseline in
@@ -933,23 +859,32 @@ let solver_audit () =
     (if sampled_ok then "ok" else "OVER")
     (conflicts rows_s)
     (if same then "identical" else "DIFFER");
-  let oc = open_out "BENCH_SOLVERSAN.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"solver-audit\",\"seed\":%d,\"reps\":%d,\"benches\":[%s],\"baseline_time\":%.6f,\"disarmed_time\":%.6f,\"sampled_time\":%.6f,\"disarmed_overhead\":%.4f,\"sampled_overhead\":%.4f,\"baseline_conflicts\":%d,\"sampled_conflicts\":%d,\"disarmed_within_1_05x\":%b,\"sampled_within_1_5x\":%b,\"identical_merges\":%b}\n"
-    seed reps
-    (String.concat "," (List.map (Printf.sprintf "\"%s\"") benches))
-    baseline disarmed sampled disarmed_overhead sampled_overhead
-    (conflicts rows_b) (conflicts rows_s) disarmed_ok sampled_ok same;
-  close_out oc;
-  Printf.printf "wrote BENCH_SOLVERSAN.json\n";
-  if not (disarmed_ok && sampled_ok && same) then begin
-    Printf.eprintf "solver-audit: %s\n"
-      (if not same then
-         "merge partitions differ with the sanitizer armed (it must only \
-          observe)"
-       else "sanitizer overhead gate breached");
-    exit 1
-  end
+  Runs.report ~out_file:"BENCH_SOLVERSAN.json"
+    (Obj
+       [
+         ("experiment", String "solver-audit");
+         ("seed", Int seed);
+         ("reps", Int reps);
+         ("benches", List (List.map (fun b -> Json.String b) benches));
+         ("baseline_time", Float baseline);
+         ("disarmed_time", Float disarmed);
+         ("sampled_time", Float sampled);
+         ("disarmed_overhead", Float disarmed_overhead);
+         ("sampled_overhead", Float sampled_overhead);
+         ("baseline_conflicts", Int (conflicts rows_b));
+         ("sampled_conflicts", Int (conflicts rows_s));
+         ("disarmed_within_1_05x", Bool disarmed_ok);
+         ("sampled_within_1_5x", Bool sampled_ok);
+         ("identical_merges", Bool same);
+       ])
+    ~failures:
+      [
+        ( not same,
+          "solver-audit: merge partitions differ with the sanitizer armed (it \
+           must only observe)" );
+        ( not (disarmed_ok && sampled_ok),
+          "solver-audit: sanitizer overhead gate breached" );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Soak: chaos harness for the overload/crash-safety layer             *)
@@ -1210,49 +1145,44 @@ let soak_burst ~benches ~workers ~max_queue ~clients =
   let ok =
     depth_ok && parity_ok && !deadline_ok && race_clean && rss_ok
   in
-  if not ok then
-    Printf.eprintf
-      "soak burst FAILED (depth ok %b, parity ok %b, deadline ok %b, races \
-       clean %b, rss ok %b)\n"
-      depth_ok parity_ok !deadline_ok race_clean rss_ok;
   ( ok,
-    wall,
-    !max_depth,
-    !shed_answers,
-    !dropped_answers,
-    !parity_checked,
-    !parity_bad,
-    !shed,
-    !deadline_expired,
-    List.length diags,
-    rss_growth_kb )
+    Json.Obj
+      [
+        ("workers", Int workers);
+        ("max_queue", Int max_queue);
+        ("clients", Int clients);
+        ("wall_time", Float wall);
+        ("max_queue_depth", Int !max_depth);
+        ("overloaded_answers", Int !shed_answers);
+        ("dropped_answers", Int !dropped_answers);
+        ("parity_checked", Int !parity_checked);
+        ("parity_bad", Int !parity_bad);
+        ("shed", Int !shed);
+        ("deadline_expired", Int !deadline_expired);
+        ("race_diagnostics", Int (List.length diags));
+        ( "rss_growth_kb",
+          match rss_growth_kb with Some kb -> Int kb | None -> Null );
+        ("ok", Bool ok);
+      ],
+    Printf.sprintf
+      "soak burst FAILED (depth ok %b, parity ok %b, deadline ok %b, races \
+       clean %b, rss ok %b)"
+      depth_ok parity_ok !deadline_ok race_clean rss_ok )
 
 let soak_run ~benches ~clients title =
   header title;
-  let workers = 2 and max_queue = 4 in
-  let ( ok,
-        wall,
-        max_depth,
-        shed_answers,
-        dropped,
-        parity_checked,
-        parity_bad,
-        shed,
-        deadline_expired,
-        races,
-        rss_growth_kb ) =
-    soak_burst ~benches ~workers ~max_queue ~clients
+  let ok, burst, failure =
+    soak_burst ~benches ~workers:2 ~max_queue:4 ~clients
   in
-  let oc = open_out "BENCH_SOAK.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"soak\",\"seed\":%d,\"burst\":{\"workers\":%d,\"max_queue\":%d,\"clients\":%d,\"wall_time\":%.3f,\"max_queue_depth\":%d,\"overloaded_answers\":%d,\"dropped_answers\":%d,\"parity_checked\":%d,\"parity_bad\":%d,\"shed\":%d,\"deadline_expired\":%d,\"race_diagnostics\":%d,\"rss_growth_kb\":%s,\"ok\":%b},\"ok\":%b}\n"
-    seed workers max_queue clients wall max_depth shed_answers dropped
-    parity_checked parity_bad shed deadline_expired races
-    (match rss_growth_kb with Some kb -> string_of_int kb | None -> "null")
-    ok ok;
-  close_out oc;
-  Printf.printf "wrote BENCH_SOAK.json\n";
-  if not ok then exit 1
+  Runs.report ~out_file:"BENCH_SOAK.json"
+    (Obj
+       [
+         ("experiment", String "soak");
+         ("seed", Int seed);
+         ("burst", burst);
+         ("ok", Bool ok);
+       ])
+    ~failures:[ (not ok, failure) ]
 
 let soak () =
   soak_run ~benches:[ "apex2"; "square" ] ~clients:4
@@ -1271,7 +1201,7 @@ let micro () =
   let open Bechamel in
   let net = Suite.lut_network "apex2" in
   let guided strategy () =
-    let sw = Sweeper.create (opts_with ()) net in
+    let sw = Sweeper.create (Runs.opts ()) net in
     Sweeper.random_round sw;
     ignore (Sweeper.guided_round sw strategy)
   in
@@ -1288,16 +1218,12 @@ let micro () =
   let test_table2 =
     Test.make ~name:"table2_sat_sweep"
       (Staged.stage (fun () ->
-           let opts = opts_with ~iterations:5 () in
-           let sw = Sweeper.create opts net in
-           Sweeper.random_round sw;
-           ignore (Sweeper.run_guided opts sw);
-           ignore (Sweeper.sat_sweep opts sw)))
+           ignore (Runs.flow (Runs.opts ~iterations:5 ()) net)))
   in
   let test_fig7 =
     Test.make ~name:"fig7_random_round"
       (Staged.stage (fun () ->
-           let sw = Sweeper.create (opts_with ()) net in
+           let sw = Sweeper.create (Runs.opts ()) net in
            Sweeper.random_round sw))
   in
   let test_fig5 =

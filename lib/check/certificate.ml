@@ -1,6 +1,7 @@
 module Literal = Simgen_sat.Literal
 module Solver = Simgen_sat.Solver
 module Drup = Simgen_sat.Drup
+module Json = Simgen_base.Json
 
 type query =
   | Session of {
@@ -493,93 +494,86 @@ let check (t : t) =
     diags;
   }
 
-(* JSONL rendering: hand-rolled like the runner's telemetry (the repo
-   deliberately carries no JSON dependency). Literals use the DIMACS
-   convention so external tooling can consume the proofs directly. *)
+(* JSONL rendering, one [Json.t] value per line, each printed before the
+   next is built. Literals use the DIMACS convention so external tooling
+   can consume the proofs directly. *)
 let to_jsonl (t : t) report =
+  let open Json in
   let buf = Buffer.create 4096 in
-  let add_lits lits =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i l ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int (Literal.to_dimacs l)))
-      lits;
-    Buffer.add_char buf ']'
+  let line fields =
+    write buf (Obj fields);
+    Buffer.add_char buf '\n'
   in
-  let add_clauses clauses =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_lits c)
-      clauses;
-    Buffer.add_char buf ']'
+  let lits ls = List (List.map (fun l -> Int (Literal.to_dimacs l)) ls) in
+  let proof clauses events =
+    [
+      ("clauses", List (List.map lits clauses));
+      ( "events",
+        List
+          (List.map
+             (function
+               | Solver.Learn c -> Obj [ ("l", lits (Array.to_list c)) ]
+               | Solver.Delete c -> Obj [ ("d", lits (Array.to_list c)) ])
+             events) );
+    ]
   in
-  let add_events events =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char buf ',';
-        let tag, lits =
-          match e with
-          | Solver.Learn c -> ("l", c)
-          | Solver.Delete c -> ("d", c)
-        in
-        Buffer.add_string buf (Printf.sprintf {|{"%s":|} tag);
-        add_lits (Array.to_list lits);
-        Buffer.add_char buf '}')
-      events;
-    Buffer.add_char buf ']'
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"type":"certificate","schema_version":%d,"nodes":%d,"queries":%d,"merges":%d}|}
-       Diagnostic.schema_version t.num_nodes (Array.length t.queries)
-       (List.length t.merges));
-  Buffer.add_char buf '\n';
+  line
+    [
+      ("type", String "certificate");
+      ("schema_version", Int Diagnostic.schema_version);
+      ("nodes", Int t.num_nodes);
+      ("queries", Int (Array.length t.queries));
+      ("merges", Int (List.length t.merges));
+    ];
   Array.iteri
     (fun i q ->
-      (match q with
-      | Rebuild ->
-          Buffer.add_string buf
-            (Printf.sprintf {|{"type":"query","index":%d,"kind":"rebuild"}|} i)
+      let head kind =
+        [ ("type", String "query"); ("index", Int i); ("kind", String kind) ]
+      in
+      match q with
+      | Rebuild -> line (head "rebuild")
       | Session { a; b; act; va; vb; equal; clauses; events } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               {|{"type":"query","index":%d,"kind":"session","a":%d,"b":%d,"act":%d,"va":%d,"vb":%d,"equal":%b,"clauses":|}
-               i a b act va vb equal);
-          add_clauses clauses;
-          Buffer.add_string buf {|,"events":|};
-          add_events events;
-          Buffer.add_char buf '}'
+          line
+            (head "session"
+            @ [
+                ("a", Int a);
+                ("b", Int b);
+                ("act", Int act);
+                ("va", Int va);
+                ("vb", Int vb);
+                ("equal", Bool equal);
+              ]
+            @ proof clauses events)
       | Fresh { a; b; clauses; events } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               {|{"type":"query","index":%d,"kind":"fresh","a":%d,"b":%d,"clauses":|}
-               i a b);
-          add_clauses clauses;
-          Buffer.add_string buf {|,"events":|};
-          add_events events;
-          Buffer.add_char buf '}');
-      Buffer.add_char buf '\n')
+          line
+            (head "fresh"
+            @ [ ("a", Int a); ("b", Int b) ]
+            @ proof clauses events))
     t.queries;
   List.iter
     (fun { repr; node; proof } ->
-      Buffer.add_string buf
-        (Printf.sprintf {|{"type":"merge","repr":%d,"node":%d,"proof":%d}|}
-           repr node proof);
-      Buffer.add_char buf '\n')
+      line
+        [
+          ("type", String "merge");
+          ("repr", Int repr);
+          ("node", Int node);
+          ("proof", Int proof);
+        ])
     t.merges;
-  (match report with
-  | None -> ()
-  | Some r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|{"type":"report","valid":%b,"queries":%d,"proved":%d,"merges":%d,"steps":%d,"steps_checked":%d,"steps_trimmed":%d,"errors":%d}|}
-           r.valid r.queries r.proved r.merges r.steps r.steps_checked
-           r.steps_trimmed
-           (let e, _, _ = Diagnostic.counts r.diags in
-            e));
-      Buffer.add_char buf '\n');
+  Option.iter
+    (fun r ->
+      let errors, _, _ = Diagnostic.counts r.diags in
+      line
+        [
+          ("type", String "report");
+          ("valid", Bool r.valid);
+          ("queries", Int r.queries);
+          ("proved", Int r.proved);
+          ("merges", Int r.merges);
+          ("steps", Int r.steps);
+          ("steps_checked", Int r.steps_checked);
+          ("steps_trimmed", Int r.steps_trimmed);
+          ("errors", Int errors);
+        ])
+    report;
   Buffer.contents buf

@@ -1,4 +1,5 @@
 module Srcloc = Simgen_base.Srcloc
+module Json = Simgen_base.Json
 
 type severity = Error | Warning | Info
 
@@ -79,34 +80,32 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  Simgen_base.Json.escape buf s;
-  Buffer.contents buf
-
-let loc_to_json = function
-  | Node id -> Printf.sprintf {|{"node":%d}|} id
-  | Clause i -> Printf.sprintf {|{"clause":%d}|} i
-  | Named n -> Printf.sprintf {|{"name":"%s"}|} (json_escape n)
-  | Src l -> (
-      match (l.Srcloc.file, l.Srcloc.line) with
-      | Some f, Some n ->
-          Printf.sprintf {|{"file":"%s","line":%d}|} (json_escape f) n
-      | Some f, None -> Printf.sprintf {|{"file":"%s"}|} (json_escape f)
-      | None, Some n -> Printf.sprintf {|{"line":%d}|} n
-      | None, None -> "{}")
-  | Nowhere -> "{}"
+let loc_to_value : location -> Json.t = function
+  | Node id -> Obj [ ("node", Int id) ]
+  | Clause i -> Obj [ ("clause", Int i) ]
+  | Named n -> Obj [ ("name", String n) ]
+  | Src { Srcloc.file; line } ->
+      let file = Option.map (fun f -> ("file", Json.String f)) file
+      and line = Option.map (fun n -> ("line", Json.Int n)) line in
+      Obj (Option.to_list file @ Option.to_list line)
+  | Nowhere -> Obj []
 
 (* Bumped whenever the JSONL shape changes; downstream telemetry
    consumers key on it. Guarded by the golden-file test in
    test/test_check.ml — update both together. *)
 let schema_version = 1
 
-let to_json d =
-  Printf.sprintf
-    {|{"schema_version":%d,"code":"%s","severity":"%s","loc":%s,"message":"%s"}|}
-    schema_version (json_escape d.code) (severity_name d.severity)
-    (loc_to_json d.loc) (json_escape d.message)
+let to_value d =
+  Json.Obj
+    [
+      ("schema_version", Int schema_version);
+      ("code", String d.code);
+      ("severity", String (severity_name d.severity));
+      ("loc", loc_to_value d.loc);
+      ("message", String d.message);
+    ]
+
+let to_json d = Json.to_string (to_value d)
 
 let render ?(json = false) fmt ds =
   List.iter

@@ -82,8 +82,12 @@ type payload =
 
 type event = { job : int; label : string; at : float; payload : payload }
 
+val to_value : event -> Simgen_base.Json.t
+(** The event as one JSON object: [job], [label], [at], [phase], then the
+    payload's fields. *)
+
 val to_json : event -> string
-(** One JSON object, no trailing newline. *)
+(** [to_value] printed, no trailing newline. *)
 
 type sink
 

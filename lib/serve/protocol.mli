@@ -28,12 +28,11 @@
     v}
 
     A request is answered by zero or more [event] frames followed by
-    exactly one [result], [error] or [overloaded] frame. The JSON parser/printer here
-    is hand-rolled like the rest of the repo's JSON surface (the
-    container has no JSON library); it covers the full value grammar at
-    the subset of escapes the repo emits. *)
+    exactly one [result], [error] or [overloaded] frame. Lines are read
+    and written by {!Simgen_base.Json}; the type and its helpers are
+    re-exported here for clients of the protocol. *)
 
-type json =
+type json = Simgen_base.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -44,13 +43,11 @@ type json =
 
 val parse : string -> (json, string) result
 val to_string : json -> string
-
 val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] otherwise. *)
-
 val int_member : string -> json -> int option
 val string_member : string -> json -> string option
-(** Typed field lookups: [None] when absent or of another type. *)
+(** {!Simgen_base.Json.parse}, {!Simgen_base.Json.to_string} and the
+    typed field lookups. *)
 
 val version : int
 (** 1. Requests with any other [v] are rejected. *)
@@ -74,7 +71,8 @@ val request_to_line : id:int -> request -> string
 val request_of_line : string -> (int * request, string) result
 
 type frame =
-  | Event of json  (** one runner telemetry event *)
+  | Event of json
+      (** one runner telemetry event ({!Simgen_runner.Events.to_value}) *)
   | Result of (string * json) list  (** final answer fields *)
   | Failed of string  (** the [error] frame *)
   | Overloaded of { retry_after : float }

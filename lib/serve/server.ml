@@ -143,12 +143,7 @@ let run_job t ?on_event ~worker spec =
     Events.callback (fun e ->
         Events.emit t.telemetry ~job:e.Events.job ~label:e.Events.label
           e.Events.payload;
-        match on_event with
-        | None -> ()
-        | Some f -> (
-            match Protocol.parse (Events.to_json e) with
-            | Ok j -> f j
-            | Error _ -> ()))
+        Option.iter (fun f -> f (Events.to_value e)) on_event)
   in
   let r =
     Exec.run ?cache:t.pattern_cache ~cancel:t.cancel ~events:sink ~worker spec
@@ -171,17 +166,13 @@ let lint_fields target =
   in
   let errors, warnings, infos = Diagnostic.counts diags in
   let open Protocol in
-  let diag_json d =
-    match parse (Diagnostic.to_json d) with
-    | Ok j -> j
-    | Error _ -> String (Diagnostic.to_string d)
-  in
   [
     ("target", String target);
     ("errors", Int errors);
     ("warnings", Int warnings);
     ("infos", Int infos);
-    ("diagnostics", List (List.map diag_json (Diagnostic.sort diags)));
+    ( "diagnostics",
+      List (List.map Diagnostic.to_value (Diagnostic.sort diags)) );
   ]
 
 let stats_fields t =

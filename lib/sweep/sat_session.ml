@@ -39,8 +39,6 @@ type t = {
   rng : Rng.t;
   certify : bool;
   audit : bool;  (* sampled solver-state audits (R007..R013) armed *)
-  gc : bool;
-  gc_ratio : float;
   mutable pending_clauses : Sat.Literal.t list list;
       (* problem clauses (cone encodings) added since the last recorded
          query, newest first; guard/retirement/tie clauses are excluded —
@@ -116,12 +114,15 @@ let add_counters (a : Sat.Solver.stats) (b : Sat.Solver.stats) :
    than it saves. *)
 let gc_min_live = 2000
 
+(* ... and only once the database holds this many times the clauses of
+   the live encoding. *)
+let gc_ratio = 3.0
+
 (* Sampled solver-state audit interval: cheap enough for benches, dense
    enough that a corrupted invariant cannot survive a query unnoticed. *)
 let audit_every = 16
 
-let create ?(certify = false) ?(gc = true) ?(gc_ratio = 3.0) ?(audit = false)
-    ?subst ?rng net =
+let create ?(certify = false) ?(audit = false) ?subst ?rng net =
   let n = N.num_nodes net in
   let audit = audit || Runtime_check.enabled () in
   let solver = Sat.Solver.create () in
@@ -134,8 +135,6 @@ let create ?(certify = false) ?(gc = true) ?(gc_ratio = 3.0) ?(audit = false)
     subst;
     rng = (match rng with Some r -> r | None -> Rng.create 0xCE8);
     certify;
-    gc;
-    gc_ratio;
     pending_clauses = [];
     cert_queries = [];
     cert_count = 0;
@@ -250,17 +249,13 @@ let encode_roots t roots =
         if t.vars.(id) < 0 then t.encoded <- t.encoded + 1
         else begin
           t.reencoded <- t.reencoded + 1;
-          if t.gc then begin
-            (* Physically retract the stale definition. The deletions are
-               kept out of the proof stream: the certificate checker
-               treats recorded problem clauses as immutable, and keeping
-               a deleted clause only strengthens its propagation. *)
-            let n =
-              Sat.Solver.remove_group ~proof:false t.solver t.vars.(id)
-            in
-            t.clauses_live <- t.clauses_live - n;
-            t.retired_clauses <- t.retired_clauses + n
-          end
+          (* Physically retract the stale definition. The deletions are
+             kept out of the proof stream: the certificate checker treats
+             recorded problem clauses as immutable, and keeping a deleted
+             clause only strengthens its propagation. *)
+          let n = Sat.Solver.remove_group ~proof:false t.solver t.vars.(id) in
+          t.clauses_live <- t.clauses_live - n;
+          t.retired_clauses <- t.retired_clauses + n
         end;
         t.vars.(id) <- Sat.Solver.new_var t.solver;
         t.enc_fanins.(id) <- fvars;
@@ -413,14 +408,13 @@ let check_pair ?max_conflicts t a b =
     in
     (* Retire the miter either way — the verdict is final. The unit
        satisfies the guard clauses and silences every learned clause that
-       mentions [act]; under GC the guards are then deleted outright (the
-       unit stays — learned clauses carrying the positive [act] literal
-       are only sound under it). *)
+       mentions [act]; the guards are then deleted outright (the unit
+       stays — learned clauses carrying the positive [act] literal are
+       only sound under it). *)
     Sat.Solver.add_clause solver [ nact ];
     t.retired <- t.retired + 1;
-    if t.gc then
-      t.retired_clauses <-
-        t.retired_clauses + Sat.Solver.remove_group ~proof:false solver act;
+    t.retired_clauses <-
+      t.retired_clauses + Sat.Solver.remove_group ~proof:false solver act;
     (match verdict with
      | Equal ->
          (* Proven equivalent: tie the variables so cones through either
@@ -442,7 +436,7 @@ let check_pair ?max_conflicts t a b =
             re-encodes from scratch instead of trusting clauses that are
             no longer there. Without a substitution there is no merge
             and the pair may be queried again, so the definitions stay. *)
-         if t.gc && t.subst <> None then begin
+         if t.subst <> None then begin
            let loser = max a b in
            if not (N.is_pi t.net loser) then begin
              let n =
@@ -485,16 +479,13 @@ let check_pair ?max_conflicts t a b =
     end;
     (* Clause-growth trigger: when the database dwarfs the live encoding
        despite per-clause GC, re-encode from scratch. *)
-    if t.gc then begin
-      let live =
-        Sat.Solver.num_clauses t.solver + Sat.Solver.num_learnts t.solver
-      in
-      if
-        live > gc_min_live
-        && float_of_int live
-           > t.gc_ratio *. float_of_int (max 1 t.clauses_live)
-      then rebuild t
-    end;
+    let live =
+      Sat.Solver.num_clauses t.solver + Sat.Solver.num_learnts t.solver
+    in
+    if
+      live > gc_min_live
+      && float_of_int live > gc_ratio *. float_of_int (max 1 t.clauses_live)
+    then rebuild t;
     verdict
   end
 

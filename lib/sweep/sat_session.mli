@@ -37,7 +37,7 @@
       solver would pay (DESIGN.md §13 has the soundness argument; [bench
       sat-session] gates the ratio).
     - {b Clause-growth rebuild.} When the solver database nonetheless
-      outgrows the live encoding past [gc_ratio] (learned clauses and
+      outgrows the live encoding threefold (learned clauses and
       stale variable space no per-clause GC can reclaim), the session
       discards the solver and re-encodes lazily from the current
       substitution. A certifying session records the discontinuity as a
@@ -53,8 +53,6 @@ type t
 
 val create :
   ?certify:bool ->
-  ?gc:bool ->
-  ?gc_ratio:float ->
   ?audit:bool ->
   ?subst:int array ->
   ?rng:Simgen_base.Rng.t ->
@@ -68,13 +66,9 @@ val create :
     logging and per-query certificate recording: every problem clause
     and proof event is sliced per query into
     {!Simgen_check.Certificate.query} records, collected with
-    {!take_cert_queries}. [gc] (default [true]) enables physical
-    garbage-collection of retired queries and stale encodings; turning
-    it off reproduces the append-only PR-2 behaviour (the differential
-    tests rely on the verdict stream being semantically identical either
-    way). [gc_ratio] (default 3.0) sets the clause-growth factor past
-    which the session rebuilds its solver from scratch. [audit] (default
-    [false]) arms the sampled solver-state sanitizer
+    {!take_cert_queries}. Retired queries and stale encodings are
+    always garbage-collected. [audit] (default [false]) arms the sampled
+    solver-state sanitizer
     ({!Simgen_sat.Solver.set_audit}, R007..R013) on the session's solver
     — and on every solver a rebuild creates; it is also armed implicitly
     whenever {!Simgen_base.Runtime_check.enabled} holds, so the full

@@ -81,7 +81,6 @@ type t = {
   rng : Rng.t;
   check : bool;  (* run invariant audits at refinement/merge boundaries *)
   certify : bool;  (* record a whole-sweep certificate *)
-  gc : bool;  (* session clause garbage-collection (Sweep_options.session_gc) *)
   audit : bool;  (* sampled solver-state sanitizer (Sweep_options.solver_audit) *)
   (* Whole-sweep certificate state: query records flushed out of the
      session (and appended by the certified fresh rung), the merge log
@@ -124,14 +123,12 @@ let create ?check (opts : Sweep_options.t) net =
     match check with Some b -> b | None -> Runtime_check.enabled ()
   in
   let certify = opts.Sweep_options.certify in
-  let gc = opts.Sweep_options.session_gc in
   let audit = opts.Sweep_options.solver_audit in
   {
     net;
     rng;
     check;
     certify;
-    gc;
     audit;
     cert_queries = [];
     cert_count = 0;
@@ -141,7 +138,7 @@ let create ?check (opts : Sweep_options.t) net =
     levels = Level.compute net;
     outgold = opts.Sweep_options.outgold;
     subst;
-    session = Sat_session.create ~certify ~gc ~audit ~subst ~rng net;
+    session = Sat_session.create ~certify ~audit ~subst ~rng net;
     history = [];
     quarantine = Hashtbl.create 8;
     d_stats = empty_degrade;
@@ -508,8 +505,8 @@ let rebuild_session t =
     t.cert_count <- t.cert_count + 1
   end;
   t.session <-
-    Sat_session.create ~certify:t.certify ~gc:t.gc ~audit:t.audit
-      ~subst:t.subst ~rng:t.rng t.net;
+    Sat_session.create ~certify:t.certify ~audit:t.audit ~subst:t.subst
+      ~rng:t.rng t.net;
   t.d_stats <-
     { t.d_stats with session_rebuilds = t.d_stats.session_rebuilds + 1 }
 

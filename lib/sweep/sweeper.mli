@@ -72,9 +72,7 @@ val create : ?check:bool -> Sweep_options.t -> Simgen_network.Network.t -> t
     rounds, [certify] records a whole-sweep certificate (the session
     logs per-query clausal proofs, every merge is logged with a
     reference to the query that proved it, and {!certificate} assembles
-    the result for {!Simgen_check.Certificate.check}), and [session_gc]
-    controls physical clause garbage-collection inside the incremental
-    session. [check] (default {!Simgen_base.Runtime_check.enabled},
+    the result for {!Simgen_check.Certificate.check}). [check] (default {!Simgen_base.Runtime_check.enabled},
     i.e. the [SIMGEN_CHECK] environment variable) turns on invariant
     audits at every refinement and merge boundary: eq-class partition
     well-formedness and substitution monotonicity

@@ -289,6 +289,71 @@ let test_jsonl () =
     in
     contains last {|"valid":true|})
 
+(* JSONL rendering: golden file. A small certified sweep on each miter
+   route plus a session-rebuild marker covers every line kind; the golden
+   file pins their exact bytes. *)
+let golden_blif =
+  {|.model golden
+.inputs a b c d
+.outputs n1 n2 n3 n4 n5 n6 n7 n8
+.names a b n1
+11 1
+.names b a n2
+11 1
+.names n1 c n3
+11 1
+.names b c t
+11 1
+.names a t n4
+11 1
+.names a b n5
+10 1
+01 1
+.names a b u
+1- 1
+-1 1
+.names u n1 n6
+10 1
+.names a c n7
+1- 1
+-1 1
+.names n3 d n8
+1- 1
+-1 1
+.end
+|}
+
+let golden_jsonl () =
+  let net = Simgen_network.Blif.parse_string golden_blif in
+  let render ~incremental ~report =
+    let o =
+      { (opts true) with Sweep_options.incremental; guided_iterations = 2 }
+    in
+    let sw = Sweeper.create o net in
+    Sweeper.random_round sw;
+    ignore (Sweeper.run_guided o sw);
+    ignore (Sweeper.sat_sweep o sw);
+    let cert = Sweeper.certificate sw in
+    Cert.to_jsonl cert (if report then Some (Cert.check cert) else None)
+  in
+  render ~incremental:true ~report:true
+  ^ render ~incremental:false ~report:false
+  ^ Cert.to_jsonl
+      { Cert.num_nodes = 1; queries = [| Cert.Rebuild |]; merges = [] }
+      None
+
+let test_jsonl_golden () =
+  (* dune runtest stages deps next to the binary; dune exec runs from
+     the workspace root. *)
+  let path =
+    if Sys.file_exists "golden/certificate.jsonl" then
+      "golden/certificate.jsonl"
+    else "test/golden/certificate.jsonl"
+  in
+  let golden = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "JSONL output matches the golden file" golden
+    (golden_jsonl ())
+
 (* A certify batch job emits a certificate telemetry phase and stays
    successful; its event reports a valid replay. *)
 let test_runner_certify () =
@@ -331,6 +396,7 @@ let () =
           Alcotest.test_case "rebuild marker" `Slow test_rebuild_marker;
           Alcotest.test_case "trim" `Slow test_trim;
           Alcotest.test_case "jsonl" `Slow test_jsonl;
+          Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
         ] );
       ( "tamper",
         [

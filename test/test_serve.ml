@@ -2,6 +2,7 @@
    handler, exercised in-process and over a real socket. *)
 
 module Shared = Simgen_base.Shared
+module Json = Simgen_base.Json
 module Retry_policy = Simgen_runner.Retry_policy
 module Pattern_cache = Simgen_runner.Pattern_cache
 module Protocol = Simgen_serve.Protocol
@@ -12,32 +13,153 @@ module Client = Simgen_serve.Client
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let json_roundtrip v =
-  match Protocol.parse (Protocol.to_string v) with
-  | Ok v' -> v'
-  | Error msg -> Alcotest.failf "reparse failed: %s" msg
+(* JSON values covering the whole grammar: strings and keys range over
+   all 256 bytes, floats are multiples of 1/64 so [%.6f] prints them
+   exactly. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               pure Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map
+                 (fun k -> Json.Float (float_of_int k /. 64.))
+                 (int_range (-1_000_000_000) 1_000_000_000);
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           let sub = self (n / 4) in
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l) (list_size (int_bound 5) sub) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 5) (pair str sub)) );
+             ])
 
-let test_json_roundtrip () =
-  let v =
-    Protocol.(
-      Obj
-        [
-          ("a", Int 42);
-          ("b", String "x \"quoted\"\nline\ttab");
-          ("c", List [ Bool true; Bool false; Null ]);
-          ("d", Obj [ ("nested", List [ Int (-7); Int 0 ]) ]);
-          ("e", String "");
-        ])
-  in
-  Alcotest.(check bool) "roundtrip" true (json_roundtrip v = v)
+let prop_json_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"json roundtrip" ~count:1000
+       ~print:Json.to_string json_gen (fun v ->
+         Json.parse (Json.to_string v) = Ok v))
 
 let test_json_rejects () =
   List.iter
     (fun s ->
-      match Protocol.parse s with
+      match Json.parse s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
-    [ ""; "{"; "{\"a\":}"; "[1,2"; "{\"a\":1} trailing"; "nul"; "\"open" ]
+    [
+      "";
+      "{";
+      "{\"a\":}";
+      "[1,2";
+      "{\"a\":1} trailing";
+      "nul";
+      "\"open";
+      "\"\\u12\"";
+      "\"\\u12g4\"";
+      String.make 100_000 '[';
+    ]
+
+(* \uXXXX escapes decode to UTF-8, surrogate pairs to one code point. A
+   client that escapes non-ASCII text (Python's json.dumps does by
+   default) must name the same file as one that sends raw UTF-8. *)
+let test_json_unicode () =
+  let decodes escaped raw =
+    match Json.parse ("\"" ^ escaped ^ "\"") with
+    | Ok (Json.String s) -> Alcotest.(check string) escaped raw s
+    | Ok _ | Error _ -> Alcotest.failf "did not decode %s" escaped
+  in
+  decodes "\\u0041" "A";
+  decodes "caf\\u00e9" "caf\xc3\xa9";
+  decodes "\\u20AC" "\xe2\x82\xac";
+  decodes "\\ud83d\\ude00" "\xf0\x9f\x98\x80";
+  decodes "\\u0000" "\000";
+  List.iter
+    (fun escaped ->
+      match Json.parse ("\"" ^ escaped ^ "\"") with
+      | Ok _ -> Alcotest.failf "accepted lone surrogate %s" escaped
+      | Error _ -> ())
+    [ "\\ud83d"; "\\ude00"; "\\ud83dx"; "\\ud83d\\u0041"; "\\ude00\\ud83d" ];
+  match
+    Protocol.request_of_line
+      {|{"v":1,"id":1,"cmd":"lint","target":"caf\u00e9.blif"}|}
+  with
+  | Ok (1, Protocol.Lint { target }) ->
+      Alcotest.(check string) "lint target" "caf\xc3\xa9.blif" target
+  | Ok _ | Error _ -> Alcotest.fail "lint request with an escaped target"
+
+(* Protocol lines cut short or with flipped bytes: both line parsers
+   answer [Ok] or [Error] and never raise. *)
+let prop_line_fuzz =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let request =
+    oneof
+      [
+        pure Protocol.Ping;
+        pure Protocol.Stats;
+        pure Protocol.Shutdown;
+        map (fun target -> Protocol.Lint { target }) str;
+        map3
+          (fun cmd args deadline_ms -> Protocol.Job { cmd; args; deadline_ms })
+          (oneofl [ "sweep"; "cec"; "certify" ])
+          str
+          (opt (int_range 1 100_000));
+      ]
+  in
+  let frame =
+    oneof
+      [
+        map (fun e -> Protocol.Event e) json_gen;
+        map
+          (fun fs -> Protocol.Result fs)
+          (list_size (int_bound 4) (pair str json_gen));
+        map (fun m -> Protocol.Failed m) str;
+        map
+          (fun k -> Protocol.Overloaded { retry_after = float_of_int k /. 64. })
+          (int_bound 1000);
+      ]
+  in
+  let line =
+    map2
+      (fun id req_or_frame ->
+        match req_or_frame with
+        | Either.Left req -> Protocol.request_to_line ~id req
+        | Either.Right frame -> Protocol.frame_to_line ~id frame)
+      nat
+      (oneof [ map Either.left request; map Either.right frame ])
+  in
+  let mutated =
+    line >>= fun line ->
+    let n = String.length line in
+    oneof
+      [
+        map (fun k -> String.sub line 0 k) (int_bound n);
+        map
+          (fun flips ->
+            let b = Bytes.of_string line in
+            List.iter (fun (i, c) -> Bytes.set b (i mod n) c) flips;
+            Bytes.to_string b)
+          (list_size (int_range 1 4) (pair nat char));
+      ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"truncated or flipped lines never raise"
+       ~count:2000 ~print:String.escaped mutated (fun line ->
+         (match Protocol.request_of_line line with Ok _ | Error _ -> true)
+         && match Protocol.frame_of_line line with Ok _ | Error _ -> true))
 
 let test_request_roundtrip () =
   List.iter
@@ -483,8 +605,10 @@ let () =
     [
       ( "protocol",
         [
-          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          prop_json_roundtrip;
           Alcotest.test_case "json rejects" `Quick test_json_rejects;
+          Alcotest.test_case "json unicode escapes" `Quick test_json_unicode;
+          prop_line_fuzz;
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "request rejects" `Quick test_request_rejects;
           Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
