@@ -32,6 +32,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string buf "null"
   | Float f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
   | String s -> add_string buf s
   | List xs ->
@@ -61,6 +62,40 @@ let to_string v =
 (* ---------------- parser ---------------- *)
 
 exception Bad of string
+
+(* RFC 8259's number grammar: -? (0 | [1-9][0-9]* ) (. [0-9]+)?
+   ([eE] [+-]? [0-9]+)?. OCaml's own conversions also take a leading
+   [+], leading zeros and bare [1.] or [.5], which JSON does not. *)
+let rfc_number tok =
+  let n = String.length tok in
+  let digits i =
+    let j = ref i in
+    while !j < n && tok.[!j] >= '0' && tok.[!j] <= '9' do
+      incr j
+    done;
+    !j
+  in
+  let i = if n > 0 && tok.[0] = '-' then 1 else 0 in
+  let i =
+    if i < n && tok.[i] = '0' then i + 1
+    else if i < n && tok.[i] >= '1' && tok.[i] <= '9' then digits i
+    else -1
+  in
+  let i =
+    if i >= 0 && i < n && tok.[i] = '.' then
+      let j = digits (i + 1) in
+      if j > i + 1 then j else -1
+    else i
+  in
+  let i =
+    if i >= 0 && i < n && (tok.[i] = 'e' || tok.[i] = 'E') then
+      let sign = i + 1 < n && (tok.[i + 1] = '+' || tok.[i + 1] = '-') in
+      let i = if sign then i + 2 else i + 1 in
+      let j = digits i in
+      if j > i then j else -1
+    else i
+  in
+  i = n
 
 let parse s =
   let n = String.length s in
@@ -168,11 +203,13 @@ let parse s =
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
+    if not (rfc_number tok) then fail ("bad number " ^ tok);
     match int_of_string_opt tok with
     | Some i -> Int i
     | None -> (
         match float_of_string_opt tok with
-        | Some f -> Float f
+        | Some f when Float.is_finite f -> Float f
+        | Some _ -> fail ("number out of range " ^ tok)
         | None -> fail ("bad number " ^ tok))
   in
   (* Comma-separated items up to [close]; the opening bracket is

@@ -3,7 +3,8 @@
     are all built as {!t} values and printed by {!write}.
 
     The printer emits no whitespace and prints floats as [%.6f], so a
-    value's text is a pure function of the value. *)
+    value's text is a pure function of the value. JSON has no infinities
+    or NaN: a non-finite [Float] prints as [null]. *)
 
 type t =
   | Null
@@ -25,8 +26,10 @@ val to_string : t -> string
 val parse : string -> (t, string) result
 (** The full JSON value grammar, with surrounding whitespace. A [\uXXXX]
     escape is decoded to UTF-8 and a surrogate pair to one code point; a
-    lone surrogate is an error. A number is an [Int] when it reads as
-    one, a [Float] otherwise. Never raises. *)
+    lone surrogate is an error. Numbers follow RFC 8259 strictly, so
+    [+5], [01], [1.] and [-.5] are errors, and so is a number that
+    overflows to infinity, such as [1e400]. A number is an [Int] when it
+    reads as one, a [Float] otherwise. Never raises. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] otherwise. *)

@@ -1,78 +1,105 @@
-(* A PO tap is an external use: a path from the node to a PO that does not
-   pass through the root, even when every gate fanout stays inside the
-   cone. *)
-let po_mask net =
-  let tapped = Array.make (Network.num_nodes net) false in
-  Array.iter (fun po -> tapped.(po) <- true) (Network.pos net);
-  tapped
+module Vec = Simgen_base.Vec
 
-let compute_tapped net po_tapped root =
-  if Network.is_pi net root then []
-  else begin
-    let in_mffc = Hashtbl.create 16 in
-    Hashtbl.replace in_mffc root ();
-    (* Fanin cone in fanins-first order; visiting it in reverse puts every
-       node after all of its fanouts that lie in the cone, so the
-       "all fanouts already in the MFFC" test is well-defined. *)
-    let cone = Cone.fanin_cone net root in
-    let rev = List.rev cone in
-    List.iter
-      (fun id ->
-        if id <> root && not (Network.is_pi net id)
-           && not po_tapped.(id)
-        then
-          let fos = Network.fanouts net id in
-          if fos <> [] && List.for_all (Hashtbl.mem in_mffc) fos then
-            Hashtbl.replace in_mffc id ())
-      rev;
-    List.filter (Hashtbl.mem in_mffc) cone
+(* The MFFC is found by dereferencing fanout counts from the root, as
+   ABC's [Abc_NodeDeref] does. Every node holds one reference per fanout
+   edge (a gate reading a node twice holds two) plus one per PO tap: a PO
+   is an external use, a path to a PO that does not pass through the
+   root. Each member drops one reference from every fanin edge; a gate
+   left with none has no use outside the cone and joins it. PIs never
+   join. The members then give their references back, ready for the next
+   query. The work is bounded by the fanin edges of the MFFC itself, not
+   by the root's whole fanin cone. *)
+type scratch = {
+  net : Network.t;
+  refs : int array;
+      (* fanout edges plus PO taps; during a query, a fanin of a member
+         is at zero exactly when it is a member too *)
+  members : int Vec.t;  (* the current MFFC, root first *)
+}
+
+let scratch net =
+  let refs = Array.make (Network.num_nodes net) 0 in
+  Network.iter_nodes net (fun id ->
+      Array.iter
+        (fun fi -> refs.(fi) <- refs.(fi) + 1)
+        (Network.fanins net id));
+  Array.iter (fun po -> refs.(po) <- refs.(po) + 1) (Network.pos net);
+  { net; refs; members = Vec.create ~dummy:0 () }
+
+(* Fill [s.members] with the MFFC of [root]; the members also serve as
+   the worklist, each dereferencing its fanins once. *)
+let collect s root =
+  Vec.clear s.members;
+  if not (Network.is_pi s.net root) then begin
+    Vec.push s.members root;
+    let i = ref 0 in
+    while !i < Vec.length s.members do
+      Array.iter
+        (fun fi ->
+          if not (Network.is_pi s.net fi) then begin
+            s.refs.(fi) <- s.refs.(fi) - 1;
+            if s.refs.(fi) = 0 then Vec.push s.members fi
+          end)
+        (Network.fanins s.net (Vec.get s.members !i));
+      incr i
+    done
   end
 
-let compute net root = compute_tapped net (po_mask net) root
-
-let leaves net members =
-  let mask = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace mask id ()) members;
-  List.filter
+let release s =
+  Vec.iter
     (fun id ->
-      not
-        (Array.exists (Hashtbl.mem mask) (Network.fanins net id)))
-    members
+      Array.iter
+        (fun fi ->
+          if not (Network.is_pi s.net fi) then s.refs.(fi) <- s.refs.(fi) + 1)
+        (Network.fanins s.net id))
+    s.members
 
-let depth_tapped net levels po_tapped root =
-  match compute_tapped net po_tapped root with
-  | [] -> 0.0
-  | members ->
-      let lvs = leaves net members in
+let compute net root =
+  let s = scratch net in
+  collect s root;
+  List.sort Int.compare (Vec.to_list s.members)
+
+(* Equation (2): a leaf is a member with no member among its fanins. *)
+let scratch_depth s levels root =
+  collect s root;
+  let d =
+    if Vec.is_empty s.members then 0.0
+    else begin
       let root_level = levels.(root) in
-      let total =
-        List.fold_left
-          (fun acc leaf -> acc + (root_level - levels.(leaf)))
-          0 lvs
-      in
-      float_of_int total /. float_of_int (List.length lvs)
+      let total = ref 0 and nleaves = ref 0 in
+      let member fi = (not (Network.is_pi s.net fi)) && s.refs.(fi) = 0 in
+      Vec.iter
+        (fun id ->
+          if not (Array.exists member (Network.fanins s.net id)) then begin
+            total := !total + (root_level - levels.(id));
+            incr nleaves
+          end)
+        s.members;
+      float_of_int !total /. float_of_int !nleaves
+    end
+  in
+  release s;
+  d
 
-let depth net levels root = depth_tapped net levels (po_mask net) root
+let depth net levels root = scratch_depth (scratch net) levels root
 
 type cache = {
-  net : Network.t;
+  s : scratch;  (* built once, not per depth query *)
   levels : int array;
-  po_tapped : bool array;  (* built once, not per depth query *)
   depths : float array;  (* nan = not computed yet *)
 }
 
 let cache net =
   {
-    net;
+    s = scratch net;
     levels = Level.compute net;
-    po_tapped = po_mask net;
     depths = Array.make (Network.num_nodes net) Float.nan;
   }
 
 let cached_depth c id =
   let d = c.depths.(id) in
   if Float.is_nan d then begin
-    let d = depth_tapped c.net c.levels c.po_tapped id in
+    let d = scratch_depth c.s c.levels id in
     c.depths.(id) <- d;
     d
   end

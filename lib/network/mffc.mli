@@ -8,17 +8,17 @@
 
 val compute : Network.t -> Network.node_id -> Network.node_id list
 (** Members of the MFFC rooted at the node (gates only, root included),
-    fanins-first order. A PI argument yields the empty list. A node tapped
-    as a primary output is never an interior member: the PO is an external
-    observation of its value. *)
-
-val leaves : Network.t -> Network.node_id list -> Network.node_id list
-(** Members with no fanin inside the cone — the first cone nodes met on any
-    PI-to-cone path. For the singleton cone this is the root itself. *)
+    in ascending id order. A PI argument yields the empty list. A node
+    tapped as a primary output is never an interior member: the PO is an
+    external observation of its value. Found by dereferencing fanout
+    counts from the root, so the work is bounded by the MFFC, not by the
+    root's fanin cone. *)
 
 val depth : Network.t -> int array -> Network.node_id -> float
 (** Equation (2): average over the MFFC's leaves of
-    [level(root) - level(leaf)], given precomputed levels. A PI (empty
+    [level(root) - level(leaf)], given precomputed levels. A leaf is a
+    member with no fanin inside the MFFC: the first member met on any
+    PI-to-root path (for a singleton MFFC, the root itself). A PI (empty
     MFFC) has depth [0.]. *)
 
 type cache

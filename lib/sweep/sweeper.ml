@@ -104,11 +104,13 @@ type t = {
      representative. *)
   quarantine : (int * int, unit) Hashtbl.t;
   mutable d_stats : degrade_stats;
-  (* Classes that repeatedly failed to yield a useful vector, keyed by
-     their smallest member: generation is skipped for them until the
-     class splits (changing its key). Mirrors how production sweepers
-     stop hammering unsplittable classes. *)
-  gen_failures : (int, int) Hashtbl.t;
+  (* Class versions (smallest member, size) whose generation attempt
+     failed. Classes only split, so a version names one exact member set:
+     a failed class is not attempted again until it splits, and then
+     every part, the one keeping the smallest member included, is a new
+     version with a fresh attempt (paper §3: a failed class is
+     skipped). *)
+  failed : (int * int, unit) Hashtbl.t;
   mutable g_stats : guided_stats;
   mutable s_stats : sat_stats;
   (* One engine/decision pair per configuration, created on demand so row
@@ -142,7 +144,7 @@ let create ?check (opts : Sweep_options.t) net =
     history = [];
     quarantine = Hashtbl.create 8;
     d_stats = empty_degrade;
-    gen_failures = Hashtbl.create 64;
+    failed = Hashtbl.create 64;
     g_stats = empty_guided;
     s_stats = empty_sat;
     engines = Hashtbl.create 7;
@@ -247,19 +249,7 @@ let add_guided t d = t.g_stats <- sum_guided t.g_stats d
 let class_outgold t cls =
   Core.Outgold.assign ~strategy:t.outgold ~rng:t.rng ~levels:t.levels cls
 
-let max_class_failures = 5
-
 let class_key = function [] -> -1 | id :: _ -> id
-
-let given_up t cls =
-  match Hashtbl.find_opt t.gen_failures (class_key cls) with
-  | Some n -> n >= max_class_failures
-  | None -> false
-
-let note_failure t cls =
-  let key = class_key cls in
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.gen_failures key) in
-  Hashtbl.replace t.gen_failures key (n + 1)
 
 (* One guided iteration builds one word-sized batch of patterns: classes
    are visited largest-first, each is handed to the pattern generator, and
@@ -271,11 +261,10 @@ let note_failure t cls =
 let batch_lanes = 64
 
 (* Classes by decreasing size, ties in their original order (a stable
-   sort), each length computed once. *)
+   sort), each paired with its version. *)
 let largest_first classes =
-  List.map (fun c -> (List.length c, c)) classes
-  |> List.stable_sort (fun (la, _) (lb, _) -> Int.compare lb la)
-  |> List.map snd
+  List.map (fun c -> ((class_key c, List.length c), c)) classes
+  |> List.stable_sort (fun ((_, la), _) ((_, lb), _) -> Int.compare lb la)
 
 let guided_round_config t config =
   let engine, decision = engine_for t config in
@@ -288,10 +277,10 @@ let guided_round_config t config =
   let rec fill = function
     | [] -> ()
     | _ when !nvec >= batch_lanes -> ()
-    | cls :: rest when given_up t cls ->
+    | (version, _) :: rest when Hashtbl.mem t.failed version ->
         incr skipped;
         fill rest
-    | cls :: rest ->
+    | (version, cls) :: rest ->
         let outgold = class_outgold t cls in
         let report =
           Core.Vector_gen.generate_with engine decision ~rng:t.rng
@@ -312,7 +301,7 @@ let guided_round_config t config =
           incr nvec
         end
         else begin
-          note_failure t cls;
+          Hashtbl.replace t.failed version ();
           incr skipped
         end;
         fill rest
@@ -360,10 +349,10 @@ let sat_guided_round t =
   let rec fill = function
     | [] -> ()
     | _ when !nvec >= batch_lanes -> ()
-    | cls :: rest when given_up t cls ->
+    | (version, _) :: rest when Hashtbl.mem t.failed version ->
         incr skipped;
         fill rest
-    | cls :: rest ->
+    | (version, cls) :: rest ->
         let outgold = class_outgold t cls in
         incr calls;
         (match Sat_vectors.generate_pairwise_in t.session outgold with
@@ -371,7 +360,7 @@ let sat_guided_round t =
              vectors := vec :: !vectors;
              incr nvec
          | None ->
-             note_failure t cls;
+             Hashtbl.replace t.failed version ();
              incr skipped);
         fill rest
   in
@@ -833,9 +822,8 @@ let sat_stats t = t.s_stats
 
 let substitution t = t.subst
 
-let gen_failure_counts t =
-  List.sort compare
-    (Hashtbl.fold (fun key n acc -> (key, n) :: acc) t.gen_failures [])
+let failed_versions t =
+  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) t.failed [])
 
 (* Rebuild the network with proven-equivalent nodes merged: each gate is
    re-created over the representatives of its fanins; non-representative

@@ -21,7 +21,9 @@ type t
 type guided_stats = {
   iterations : int;  (** guided iterations executed *)
   vectors : int;  (** useful vectors simulated *)
-  skipped : int;  (** classes skipped (no useful vector) *)
+  skipped : int;
+      (** classes visited without a useful vector: the attempt failed, or
+          the class's version had failed in an earlier round *)
   gen_conflicts : int;  (** per-target conflicts inside the generator *)
   implications : int;
   decisions : int;
@@ -108,10 +110,12 @@ val apply_vectors : t -> bool array list -> unit
 
 val guided_round :
   t -> Simgen_core.Strategy.t -> guided_stats
-(** One guided iteration: walk the classes from the largest down, generate
-    a vector for the first class yielding a useful one, simulate it.
-    Returns the accumulated guided statistics (also stored in the
-    sweeper). *)
+(** One guided iteration: walk the classes from the largest down, attempt
+    generation once for each class whose version has not failed before
+    ({!failed_versions}), and let every useful vector claim one lane of a
+    64-lane word, stopping when the word is full. The word is simulated
+    in one pass. Returns this round's statistics (also added to the
+    sweeper's totals). *)
 
 val run_guided : Sweep_options.t -> t -> guided_stats
 (** [guided_iterations] rounds of {!guided_round} with strategy and stop
@@ -228,15 +232,14 @@ val substitution : t -> int array
     phase) reuse and extend the proven merges; do not write anything that
     is not a proven equivalence. *)
 
-val max_class_failures : int
-(** Consecutive generation failures after which a class is skipped. *)
-
-val gen_failure_counts : t -> (int * int) list
-(** Per-class generation-failure counters as [(class key, failures)]
-    pairs sorted by key, where the key is the class's smallest member.
-    A class is skipped by guided rounds once its count reaches
-    {!max_class_failures}; a split changes the key of every part that
-    loses the smallest member, giving those parts a fresh counter. *)
+val failed_versions : t -> (int * int) list
+(** The class versions whose generation attempt failed, as
+    [(smallest member, size)] pairs in ascending order. Classes only
+    split, so a version names one exact member set. A guided round
+    ({!guided_round_config}, {!sat_guided_round}) skips a class whose
+    version is listed here and counts it as [skipped]; after a split,
+    every part is a new version and gets one fresh attempt, the part
+    that keeps the smallest member included. *)
 
 val merged_network : t -> Simgen_network.Network.t
 (** The simplification sweeping exists for: rebuild the network with every

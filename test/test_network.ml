@@ -298,6 +298,72 @@ let test_mffc_cache_consistency () =
         (Mffc.depth net levels id)
         (Mffc.cached_depth cache id))
 
+(* The cone-filtering MFFC algorithm the dereferencing one replaced, kept
+   as the oracle: walk the root's whole fanin cone fanouts-first and admit
+   every gate (not PI, not PO-tapped) whose fanouts all joined already. *)
+let oracle_mffc net root =
+  if N.is_pi net root then []
+  else begin
+    let tapped = Array.make (N.num_nodes net) false in
+    Array.iter (fun po -> tapped.(po) <- true) (N.pos net);
+    let in_mffc = Hashtbl.create 16 in
+    Hashtbl.replace in_mffc root ();
+    let cone = Cone.fanin_cone net root in
+    List.iter
+      (fun id ->
+        if id <> root && (not (N.is_pi net id)) && not tapped.(id) then
+          let fos = N.fanouts net id in
+          if fos <> [] && List.for_all (Hashtbl.mem in_mffc) fos then
+            Hashtbl.replace in_mffc id ())
+      (List.rev cone);
+    List.filter (Hashtbl.mem in_mffc) cone
+  end
+
+let oracle_depth net levels root =
+  match oracle_mffc net root with
+  | [] -> 0.0
+  | members ->
+      let lvs =
+        List.filter
+          (fun id ->
+            not (Array.exists (fun fi -> List.mem fi members) (N.fanins net id)))
+          members
+      in
+      let total =
+        List.fold_left (fun acc l -> acc + (levels.(root) - levels.(l))) 0 lvs
+      in
+      float_of_int total /. float_of_int (List.length lvs)
+
+(* Random networks with duplicate fanins (fanins are drawn with
+   replacement) and extra PO taps, some on the same node twice. *)
+let prop_mffc_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"dereferencing = cone oracle" ~count:300
+       ~print:(fun (seed, npis, ngates, ntaps) ->
+         Printf.sprintf "seed %d, %d PIs, %d gates, %d taps" seed npis ngates
+           ntaps)
+       QCheck2.Gen.(
+         quad int (int_range 1 6) (int_range 1 40) (int_range 0 12))
+       (fun (seed, npis, ngates, ntaps) ->
+         let rng = Rng.create seed in
+         let net = random_net rng npis ngates in
+         for _ = 1 to ntaps do
+           N.add_po net (Rng.int rng (N.num_nodes net))
+         done;
+         let levels = Level.compute net in
+         let cache = Mffc.cache net in
+         let bits = Int64.bits_of_float in
+         let ok = ref true in
+         N.iter_nodes net (fun id ->
+             let expected = oracle_depth net levels id in
+             ok :=
+               !ok
+               && Mffc.compute net id
+                  = List.sort Int.compare (oracle_mffc net id)
+               && bits (Mffc.depth net levels id) = bits expected
+               && bits (Mffc.cached_depth cache id) = bits expected);
+         !ok))
+
 (* ------------------------------------------------------------------ *)
 (* BLIF round trip                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -466,6 +532,7 @@ let () =
           Alcotest.test_case "fanout closure" `Quick test_mffc_fanout_closure;
           Alcotest.test_case "depth formula" `Quick test_mffc_depth_figure4c;
           Alcotest.test_case "cache" `Quick test_mffc_cache_consistency;
+          prop_mffc_matches_oracle;
         ] );
       ( "blif",
         [

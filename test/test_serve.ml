@@ -53,6 +53,46 @@ let prop_json_roundtrip =
        ~print:Json.to_string json_gen (fun v ->
          Json.parse (Json.to_string v) = Ok v))
 
+(* Numbers in the RFC 8259 grammar parse; a non-finite float prints as
+   [null] and every printed float parses back. *)
+let test_json_numbers () =
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check bool) s true (Json.parse s = Ok v))
+    [
+      ("0", Json.Int 0);
+      ("-0", Json.Int 0);
+      ("15", Json.Int 15);
+      ("-7", Json.Int (-7));
+      ("0.5", Json.Float 0.5);
+      ("-0.25", Json.Float (-0.25));
+      ("1e3", Json.Float 1000.);
+      ("2E-2", Json.Float 0.02);
+      ("1.5e+2", Json.Float 150.);
+      ("[0,1]", Json.List [ Json.Int 0; Json.Int 1 ]);
+    ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite prints as null" "null"
+        (Json.to_string (Json.Float f)))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
+let prop_json_floats_print_as_json =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"every float prints as JSON" ~count:1000
+       ~print:string_of_float
+       QCheck2.Gen.(
+         oneof
+           [
+             float;
+             oneofl [ Float.infinity; Float.neg_infinity; Float.nan; 1e308 ];
+           ])
+       (fun f ->
+         match Json.parse (Json.to_string (Json.Float f)) with
+         | Ok Json.Null -> not (Float.is_finite f)
+         | Ok (Json.Float _ | Json.Int _) -> Float.is_finite f
+         | Ok _ | Error _ -> false))
+
 let test_json_rejects () =
   List.iter
     (fun s ->
@@ -70,6 +110,22 @@ let test_json_rejects () =
       "\"\\u12\"";
       "\"\\u12g4\"";
       String.make 100_000 '[';
+      (* RFC 8259 numbers: no plus sign, no leading zero, digits on both
+         sides of the point, digits after the exponent, and finite. *)
+      "+5";
+      "01";
+      "-01";
+      "1.";
+      "-.5";
+      ".5";
+      "1e";
+      "1e+";
+      "1.e3";
+      "-";
+      "--1";
+      "[01]";
+      "1e400";
+      "-1e400";
     ]
 
 (* \uXXXX escapes decode to UTF-8, surrogate pairs to one code point. A
@@ -607,6 +663,8 @@ let () =
         [
           prop_json_roundtrip;
           Alcotest.test_case "json rejects" `Quick test_json_rejects;
+          Alcotest.test_case "json numbers" `Quick test_json_numbers;
+          prop_json_floats_print_as_json;
           Alcotest.test_case "json unicode escapes" `Quick test_json_unicode;
           prop_line_fuzz;
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;

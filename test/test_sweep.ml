@@ -7,6 +7,7 @@ module Cec = Simgen_sweep.Cec
 module Strategy = Simgen_core.Strategy
 module Eq = Simgen_sim.Eq_classes
 module Sweep_options = Simgen_sweep.Sweep_options
+module Fault = Simgen_fault.Fault
 
 (* Default sweep options with just the seed overridden — the one spelling
    every Sweeper/Cec entry point takes. *)
@@ -283,8 +284,8 @@ let test_sweep_random_networks_sound () =
   done
 
 (* Two equivalent pairs (commuted AND, commuted OR): generation can never
-   produce a useful vector for either class, so every guided round counts
-   one failure per class until both are given up. *)
+   produce a useful vector for either pair, so each pair's attempt fails
+   and the class is never attempted again while it stays unchanged. *)
 let unsplittable_pairs_net () =
   let net = N.create () in
   let a = N.add_pi net in
@@ -300,69 +301,94 @@ let test_gen_failures_give_up () =
   let net, g1, g3 = unsplittable_pairs_net () in
   let sw = Sweeper.create (opts 3) net in
   Alcotest.(check (list (pair int int)))
-    "no failures before any guided round" []
-    (Sweeper.gen_failure_counts sw);
-  (* a=1, b=0 splits ANDs (0) from ORs (1): classes {g1,g2} and {g3,g4}
-     with keys g1 and g3 — each key starts with a fresh counter. *)
+    "no failed versions before any guided round" []
+    (Sweeper.failed_versions sw);
+  (* a=1, b=0 splits ANDs (0) from ORs (1): classes {g1,g2} and {g3,g4}. *)
   Sweeper.apply_vector sw [| true; false |];
   Alcotest.(check int) "two classes" 2 (Eq.num_classes (Sweeper.classes sw));
-  for _ = 1 to Sweeper.max_class_failures do
-    ignore (Sweeper.guided_round sw Strategy.AI_DC_MFFC)
-  done;
-  Alcotest.(check (list (pair int int)))
-    "one failure per class per round, capped at the give-up limit"
-    [ (g1, Sweeper.max_class_failures); (g3, Sweeper.max_class_failures) ]
-    (Sweeper.gen_failure_counts sw);
-  (* Both classes are given up now: further rounds skip them without
-     attempting generation, so the counters stay frozen at the cap. *)
   let d = Sweeper.guided_round sw Strategy.AI_DC_MFFC in
-  Alcotest.(check int) "both classes skipped" 2 d.Sweeper.skipped;
-  Alcotest.(check int) "no useful vectors" 0 d.Sweeper.vectors;
+  Alcotest.(check bool) "first round attempts generation" true
+    (d.Sweeper.implications > 0);
+  Alcotest.(check int) "both attempts fail" 2 d.Sweeper.skipped;
+  let versions = [ (g1, 2); (g3, 2) ] in
   Alcotest.(check (list (pair int int)))
-    "skipped classes accrue no further failures"
-    [ (g1, Sweeper.max_class_failures); (g3, Sweeper.max_class_failures) ]
-    (Sweeper.gen_failure_counts sw)
+    "one failed version per class" versions
+    (Sweeper.failed_versions sw);
+  (* The classes never change, so every later round skips both without
+     attempting generation: skipped grows, implications do not. *)
+  let before = Sweeper.guided_stats sw in
+  for _ = 1 to 5 do
+    let d = Sweeper.guided_round sw Strategy.AI_DC_MFFC in
+    Alcotest.(check int) "both classes skipped" 2 d.Sweeper.skipped;
+    Alcotest.(check int) "no implications" 0 d.Sweeper.implications;
+    Alcotest.(check int) "no useful vectors" 0 d.Sweeper.vectors
+  done;
+  let after = Sweeper.guided_stats sw in
+  Alcotest.(check int) "skipped grows by two per round"
+    (before.Sweeper.skipped + 10) after.Sweeper.skipped;
+  Alcotest.(check int) "implications frozen" before.Sweeper.implications
+    after.Sweeper.implications;
+  Alcotest.(check (list (pair int int)))
+    "skipped classes add no versions" versions
+    (Sweeper.failed_versions sw)
 
 let test_gen_failures_fresh_key_after_split () =
-  (* Give up on the one big class (key = smallest gate), then split it:
-     the part that loses the smallest member gets a new key, hence a fresh
-     counter, and generation is attempted for it again. *)
+  (* Fail the one big class, then split it: both parts are new versions
+     and get a fresh attempt, including the part that keeps the smallest
+     member (and so the key of the failed class). *)
   let net, g1, g3 = unsplittable_pairs_net () in
   let sw = Sweeper.create (opts 3) net in
-  (* All four gates share one class (key g1). Its OUTgold assignment
-     alternates along the class, pairing equal-function nodes with equal
-     golds and opposite-function nodes across — whether generation
-     succeeds is heuristic, so drive the counter via rounds until the
-     class either splits or is given up. *)
-  let rec drive n =
-    if n > 0 && Eq.num_classes (Sweeper.classes sw) = 1 then begin
-      ignore (Sweeper.guided_round sw Strategy.AI_DC_MFFC);
-      drive (n - 1)
-    end
-  in
-  drive (Sweeper.max_class_failures + 1);
-  (* Force the split regardless of what the generator did. *)
+  (* All four gates share one class. Whether generation splits it is
+     heuristic, so the gen-giveup fault discards any useful vector: every
+     attempt on the big class fails. *)
+  Fun.protect ~finally:Fault.reset (fun () ->
+      Fault.arm "gen-giveup";
+      for _ = 1 to 5 do
+        ignore (Sweeper.guided_round sw Strategy.AI_DC_MFFC)
+      done);
+  Alcotest.(check (list (pair int int)))
+    "the big class failed once" [ (g1, 4) ]
+    (Sweeper.failed_versions sw);
+  (* Force the split. *)
   Sweeper.apply_vector sw [| true; false |];
   Alcotest.(check int) "split into the two pairs" 2
     (Eq.num_classes (Sweeper.classes sw));
-  (* The OR pair {g3, g4} never had its own key before the split: its
-     counter starts fresh, strictly below the give-up cap. *)
-  let or_failures =
-    Option.value ~default:0
-      (List.assoc_opt g3 (Sweeper.gen_failure_counts sw))
+  let d = Sweeper.guided_round sw Strategy.AI_DC_MFFC in
+  Alcotest.(check bool) "generation attempted" true
+    (d.Sweeper.implications > 0);
+  Alcotest.(check (list (pair int int)))
+    "both parts attempted, the one keeping the smallest member included"
+    [ (g1, 2); (g1, 4); (g3, 2) ]
+    (Sweeper.failed_versions sw)
+
+(* Guided vectors only refine classes that SAT then decides, so skipping
+   failed class versions cannot move the result: the final cost and every
+   representative equal those of the same sweep without guided rounds. *)
+let test_guided_keeps_partition () =
+  let sweep net opts =
+    let sw = Sweeper.create opts net in
+    Sweeper.random_round sw;
+    ignore (Sweeper.run_guided opts sw);
+    ignore (Sweeper.sat_sweep opts sw);
+    let reps = ref [] in
+    N.iter_gates net (fun id -> reps := Sweeper.representative sw id :: !reps);
+    (Sweeper.cost sw, List.rev !reps)
   in
-  Alcotest.(check bool) "fresh counter for the new key" true
-    (or_failures < Sweeper.max_class_failures);
-  (* One more round attempts generation for the fresh class: its counter
-     moves, proving it was not inherited from the given-up big class. *)
-  ignore (Sweeper.guided_round sw Strategy.AI_DC_MFFC);
-  let or_failures' =
-    Option.value ~default:0
-      (List.assoc_opt g3 (Sweeper.gen_failure_counts sw))
-  in
-  Alcotest.(check int) "fresh class attempted again" (or_failures + 1)
-    or_failures';
-  ignore g1
+  List.iter
+    (fun bench ->
+      let net = Simgen_benchgen.Suite.lut_network bench in
+      List.iter
+        (fun seed ->
+          let opts = { Sweep_options.default with Sweep_options.seed } in
+          let cost, reps = sweep net opts in
+          let cost0, reps0 =
+            sweep net { opts with Sweep_options.guided_iterations = 0 }
+          in
+          let label what = Printf.sprintf "%s seed %d: %s" bench seed what in
+          Alcotest.(check int) (label "final cost") cost0 cost;
+          Alcotest.(check (list int)) (label "representatives") reps0 reps)
+        [ 1; 7; 101 ])
+    [ "apex2"; "dec"; "b14_C" ]
 
 let test_sat_sweep_should_stop () =
   let net, _, _, _, _, _, _ = candidates_net () in
@@ -982,6 +1008,8 @@ let () =
             test_gen_failures_give_up;
           Alcotest.test_case "gen-failure fresh key after split" `Quick
             test_gen_failures_fresh_key_after_split;
+          Alcotest.test_case "guided rounds keep the partition" `Quick
+            test_guided_keeps_partition;
           Alcotest.test_case "sat sweep should_stop" `Quick
             test_sat_sweep_should_stop;
           Alcotest.test_case "sat sweep on_cex" `Quick test_sat_sweep_on_cex;
